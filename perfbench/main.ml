@@ -15,34 +15,38 @@ let out_dir = ".perfbench"
 type e2e = {
   setup_s : float list;
   pass_s : float list;
-  op_s : float list;  (** seconds per operation: analysis, search or request *)
+  op_s : float list;  (** seconds per operation: one analysis or one request *)
   rss_mb : float;
 }
 
 let sum = List.fold_left ( +. ) 0.
 
-(* The generic end-to-end metrics, the same names on every workload, and
-   the workload's own names for them in the human-readable lines. *)
-let report_e2e ~workload ~op ~ops ~pass_name ~tail (r : e2e) =
+(* The workload's own names for the generic metrics, used in the
+   readable lines: (pass_s, ops_per_s, op_ms_p50, op_ms_tail). *)
+type names = { pass : string; rate : string; p50 : string; tail : string }
+
+(* The generic end-to-end metrics, the same names on every workload.
+   [tail] is the percentile [op_ms_tail] reports. *)
+let report_e2e ~workload ~ops ~names ~tail (r : e2e) =
   let ms = List.map (fun s -> s *. 1e3) r.op_s in
   let n_op = List.length ms and n_pass = List.length r.pass_s in
   let n_setup = List.length r.setup_s in
+  let rate = float_of_int n_op /. sum r.pass_s in
   Out.metric ~n:n_setup "setup_s" "s" (Stat.median r.setup_s);
   Out.metric ~n:n_pass "pass_s" "s" (Stat.median r.pass_s);
-  Out.metric ~n:n_op "ops_per_s" "1/s" (float_of_int n_op /. sum r.pass_s);
+  Out.metric ~n:n_op "ops_per_s" "1/s" rate;
   Out.metric ~n:n_op "op_ms_p50" "ms" (Stat.median ms);
   Out.metric ~n:n_op "op_ms_tail" "ms" (Stat.quantile ms tail);
   Out.metric "max_rss_mb" "MB" r.rss_mb;
   let p = Printf.printf in
   p "%s: %d %s in %d passes\n" workload n_op ops n_pass;
-  p "  setup_s              %.4f s   (median of %d set-ups)\n" (Stat.median r.setup_s) n_setup;
-  p "  %-20s %.4f s   (pass_s, median of %d passes)\n" pass_name (Stat.median r.pass_s) n_pass;
-  p "  %-20s %.2f 1/s (ops_per_s, %d %s)\n" (ops ^ "_per_s") (float_of_int n_op /. sum r.pass_s) n_op ops;
-  p "  %-20s %.3f ms  (op_ms_p50, n=%d)\n" (op ^ "_ms_p50") (Stat.median ms) n_op;
-  p "  %-20s %.3f ms  (op_ms_tail, n=%d, %d samples beyond)\n"
-    (Printf.sprintf "%s_ms_p%.0f" op (tail *. 100.))
-    (Stat.quantile ms tail) n_op (Stat.beyond ms tail);
-  p "  max_rss_mb           %.1f MB\n" r.rss_mb;
+  p "  %-20s %.4f s   (setup_s, median of %d set-ups)\n" "setup_s" (Stat.median r.setup_s) n_setup;
+  p "  %-20s %.4f s   (pass_s, median of %d passes)\n" names.pass (Stat.median r.pass_s) n_pass;
+  p "  %-20s %.2f 1/s (ops_per_s, %d %s)\n" names.rate rate n_op ops;
+  p "  %-20s %.3f ms  (op_ms_p50, median of %d)\n" names.p50 (Stat.median ms) n_op;
+  p "  %-20s %.3f ms  (op_ms_tail, p%.0f of %d, %d samples beyond)\n" names.tail
+    (Stat.quantile ms tail) (tail *. 100.) n_op (Stat.beyond ms tail);
+  p "  %-20s %.1f MB\n" "max_rss_mb" r.rss_mb;
   p "  pass_s quartiles     min %.4f  p25 %.4f  p50 %.4f  p75 %.4f  max %.4f\n"
     (Stat.quantile r.pass_s 0.) (Stat.quantile r.pass_s 0.25) (Stat.median r.pass_s)
     (Stat.quantile r.pass_s 0.75) (Stat.quantile r.pass_s 1.)
@@ -55,16 +59,13 @@ let paper_e2e ~seed ~seconds =
   let ks, setup_s = Paper.setup ~seed ~reps:9 in
   Paper.check_against_interp ks;
   let r = Paper.run_loop ~seconds ks in
-  report_e2e ~workload:"paper-analysis" ~op:"analysis" ~ops:"analyses" ~pass_name:"analysis_s" ~tail:0.9
+  report_e2e ~workload:"paper-analysis" ~ops:"analyses" ~tail:0.9
+    ~names:
+      { pass = "analysis_s"; rate = "analyses_per_s"; p50 = "analysis_ms_p50";
+        tail = "analysis_ms_p90" }
     { setup_s; pass_s = r.Paper.pass_s; op_s = r.Paper.op_s; rss_mb = own_rss () };
-  Printf.printf "  analysis_peak_bytes  %d bytes (exact, every pass)\n"
+  Printf.printf "  %-20s %d bytes (exact, every pass)\n" "analysis_peak_bytes"
     (Hashtbl.find Out.exact_seen "core.estimate.analysis_peak_bytes")
-
-let search_e2e ~seed ~seconds =
-  let (builtins, jobs), setup_s = Search_cold.setup ~seed ~reps:25 in
-  let r = Search_cold.run_loop ~seconds ~builtins jobs in
-  report_e2e ~workload:"search-cold" ~op:"search" ~ops:"searches" ~pass_name:"search_s" ~tail:0.9
-    { setup_s; pass_s = r.Search_cold.pass_s; op_s = r.Search_cold.op_s; rss_mb = own_rss () }
 
 (* The daemon lives for the block; it is killed if the block raises. *)
 let with_daemon ~cheffp ~seed ~reps f =
@@ -79,7 +80,10 @@ let serve_e2e ~cheffp ~seed ~seconds =
   with_daemon ~cheffp ~seed ~reps:9 (fun d ts expect setup_s ->
       let r = Serve_mix.run_loop ~seconds ~seed d ts expect in
       let op_s = List.map (fun s -> s.Serve_mix.rtt_s) r.Serve_mix.samples in
-      report_e2e ~workload:"serve-mix" ~op:"request" ~ops:"requests" ~pass_name:"round_s" ~tail:0.99
+      report_e2e ~workload:"serve-mix" ~ops:"requests" ~tail:0.99
+        ~names:
+          { pass = "round_s"; rate = "serve_rps"; p50 = "serve_ms_p50";
+            tail = "serve_ms_p99" }
         { setup_s; pass_s = r.Serve_mix.pass_s; op_s;
           rss_mb = Stat.peak_rss_mb d.Serve_mix.pid })
 
@@ -105,11 +109,6 @@ let traced ~workload ~cheffp ~seed ~seconds =
   | "paper-analysis" ->
       let ks, _ = Paper.setup ~seed ~reps:1 in
       overhead ~workload (Paper.run_loop ~alternate:true ~min_passes:4 ~seconds ks).Paper.pass_s
-  | "search-cold" ->
-      let (builtins, jobs), _ = Search_cold.setup ~seed ~reps:1 in
-      overhead ~workload
-        (Search_cold.run_loop ~alternate:true ~min_passes:4 ~seconds ~builtins jobs)
-          .Search_cold.pass_s
   | _ ->
       with_daemon ~cheffp ~seed ~reps:1 (fun d ts expect _ ->
           let r = Serve_mix.run_loop ~alternate:true ~min_passes:4 ~seconds ~seed d ts expect in
@@ -117,7 +116,7 @@ let traced ~workload ~cheffp ~seed ~seconds =
           overhead ~workload r.Serve_mix.pass_s));
   let kernels = Paper.ledger ~seed ~reps:3 in
   Serve_mix.corpus_front_end ~reps:3;
-  let searches = Search_cold.ledger ~seed in
+  let searches = Search_ledger.ledger ~seed in
   if !serve_samples = [] then
     with_daemon ~cheffp ~seed ~reps:1 (fun d ts expect _ ->
         let r = Serve_mix.run_loop ~seconds:0. ~min_passes:5 ~seed d ts expect in
@@ -126,7 +125,7 @@ let traced ~workload ~cheffp ~seed ~seconds =
   let tbl = Span.self_times () in
   List.iter (Paper.report_front_end tbl) (kernels @ [ "corpus" ]);
   Paper.report_execution tbl kernels;
-  Search_cold.report_ledger tbl searches;
+  Search_ledger.report_ledger tbl searches;
   Serve_mix.report_server !serve_samples;
   let path = Printf.sprintf "%s/spans-%s-%d.jsonl" out_dir workload seed in
   Span.write path;
@@ -139,7 +138,7 @@ let () =
   let usage = "main.exe --workload W --seed N --seconds S --trace 0|1 [--cheffp PATH]" in
   Arg.parse
     [
-      ("--workload", Arg.Set_string workload, "W paper-analysis|search-cold|serve-mix");
+      ("--workload", Arg.Set_string workload, "W paper-analysis|serve-mix");
       ("--seed", Arg.Set_int seed, "N input seed");
       ("--seconds", Arg.Set_float seconds, "S measured seconds");
       ("--trace", Arg.Set_int trace, "0|1 end-to-end run, or traced per-layer run");
@@ -147,7 +146,7 @@ let () =
     ]
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
     usage;
-  if not (List.mem !workload [ "paper-analysis"; "search-cold"; "serve-mix" ]) then begin
+  if not (List.mem !workload [ "paper-analysis"; "serve-mix" ]) then begin
     prerr_endline ("unknown workload " ^ !workload ^ "\n" ^ usage);
     exit 2
   end;
@@ -156,7 +155,6 @@ let () =
   Printf.printf "perfbench %s seed %d, %g s\n" workload seed seconds;
   (match (!trace, workload) with
   | 0, "paper-analysis" -> paper_e2e ~seed ~seconds
-  | 0, "search-cold" -> search_e2e ~seed ~seconds
   | 0, _ -> serve_e2e ~cheffp:!cheffp ~seed ~seconds
   | _ -> traced ~workload ~cheffp:!cheffp ~seed ~seconds);
   Printf.printf "  failed_ratio         %g (%d failed of %d attempted)\n"

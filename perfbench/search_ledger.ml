@@ -1,8 +1,10 @@
-(* search-cold: Search.tune at the `cheffp search` defaults (Hybrid,
-   batched at Batch.default_lanes, jobs 1, shadow-measured chosen set)
-   on the five search workloads of BENCH_search.json at their full sizes
-   and thresholds. The compile cache is cleared before every pass, as
-   each CLI search is a fresh process. *)
+(* The cold-search ledger of a traced run: Search.tune at the `cheffp
+   search` defaults (Hybrid, batched at Batch.default_lanes, jobs 1,
+   shadow-measured chosen set) on the five search workloads of
+   BENCH_search.json at their full sizes and thresholds, with the
+   compile cache cleared first, as each CLI search is a fresh process.
+   Its passes took 2-3.5 s on a shared 2-vCPU host, too few per run for
+   a steady end-to-end workload, so it runs only in traced runs. *)
 
 open Cheffp_ir
 module B = Cheffp_benchmarks
@@ -83,11 +85,6 @@ let prepare ~builtins spec =
   Typecheck.check_program ~builtins prog;
   { spec; prog; args = spec.inputs () }
 
-let setup ~seed ~reps =
-  Stat.repeat reps (fun () ->
-      let builtins = Kit.builtins () in
-      (builtins, List.map (prepare ~builtins) (specs ~seed)))
-
 let tune ~builtins j =
   let measure config =
     Shadow.measured_error
@@ -98,25 +95,15 @@ let tune ~builtins j =
     ~batch:Batch.default_lanes ~measure ~prog:j.prog ~func:j.spec.func
     ~args:(Kit.copy_args j.args) ~threshold:j.spec.threshold ()
 
-(* One cold pass over the five searches. Returns the pass wall time and
-   each search's (job, seconds, outcome). *)
+(* One cold pass over the five searches, each under a span. *)
 let pass ~builtins jobs =
   Compile_cache.clear ();
   Gc.full_major ();
-  let t0 = Stat.now () in
-  let ops =
-    List.map
-      (fun j ->
-        let o, s =
-          Stat.time (fun () ->
-              Span.with_ ("search.tune." ^ j.spec.name) (fun () -> tune ~builtins j))
-        in
-        (j, s, o))
-      jobs
-  in
-  (Stat.now () -. t0, ops)
+  List.map
+    (fun j -> (j, Span.with_ ("search.tune." ^ j.spec.name) (fun () -> tune ~builtins j)))
+    jobs
 
-let check_outcome (j, _, (o : Search.outcome)) =
+let check_outcome (j, (o : Search.outcome)) =
   let name = j.spec.name in
   Out.check
     (List.sort compare o.Search.demoted = List.sort compare j.spec.expected)
@@ -129,44 +116,39 @@ let check_outcome (j, _, (o : Search.outcome)) =
        o.Search.evaluation.Tuner.actual_error j.spec.threshold);
   Out.exact ("core.search.executions." ^ name) o.Search.executions
 
-type loop_result = { pass_s : float list; op_s : float list }
-
-let run_loop ?alternate ?(min_passes = 3) ~seconds ~builtins jobs =
-  let pass_s = ref [] and op_s = ref [] in
-  Kit.loop ?alternate ~seconds ~min_passes (fun ~timed _ ->
-      let s, ops = pass ~builtins jobs in
-      if timed then begin
-        pass_s := s :: !pass_s;
-        List.iter (fun (_, s, _) -> op_s := s :: !op_s) ops
-      end;
-      List.iter check_outcome ops;
-      Out.exact "ir.compile_cache.misses" (Compile_cache.stats ()).Compile_cache.misses);
-  { pass_s = List.rev !pass_s; op_s = List.rev !op_s }
-
-(* Per-layer ledger: one traced cold pass, then the search's building
-   blocks called on their own per workload: the error-atom profile
-   (cold), one Tuner.evaluate of the chosen configuration (warm, as in
-   the search's own validation) and the rigorous range analysis that
+(* Per-layer ledger: two traced cold passes (the exact counts must
+   repeat between them), then the search's building blocks called on
+   their own per workload: one Tuner.evaluate of the chosen
+   configuration (warm, as in the search's own validation), the
+   error-atom profile (cold) and the rigorous range analysis that
    `search --range` adds. *)
 let ledger ~seed =
   let builtins = Kit.builtins () in
   let jobs = List.map (prepare ~builtins) (specs ~seed) in
-  let _, ops = pass ~builtins jobs in
-  List.iter check_outcome ops;
-  let st = Compile_cache.stats () in
-  Out.exact "ir.compile_cache.hits" st.Compile_cache.hits;
-  Out.exact "ir.compile_cache.misses" st.Compile_cache.misses;
-  let sum f = List.fold_left (fun acc (_, _, o) -> acc + f o) 0 ops in
-  Out.exact "core.search.executions" (sum (fun o -> o.Search.executions));
-  Out.exact "core.search.batched_runs" (sum (fun o -> o.Search.batched_runs));
-  Out.exact "core.search.runs_avoided" (sum (fun o -> o.Search.runs_avoided));
+  let cold_pass () =
+    let ops = pass ~builtins jobs in
+    List.iter check_outcome ops;
+    let st = Compile_cache.stats () in
+    Out.exact "ir.compile_cache.hits" st.Compile_cache.hits;
+    Out.exact "ir.compile_cache.misses" st.Compile_cache.misses;
+    let sum f = List.fold_left (fun acc (_, o) -> acc + f o) 0 ops in
+    Out.exact "core.search.executions" (sum (fun o -> o.Search.executions));
+    Out.exact "core.search.batched_runs" (sum (fun o -> o.Search.batched_runs));
+    Out.exact "core.search.runs_avoided" (sum (fun o -> o.Search.runs_avoided));
+    ops
+  in
+  ignore (cold_pass ());
+  let ops = cold_pass () in
   List.iter
-    (fun (j, _, (o : Search.outcome)) ->
-      let prog = j.prog and func = j.spec.func and name = j.spec.name in
+    (fun (j, (o : Search.outcome)) ->
       ignore
-        (Span.with_ ("core.tuner.evaluate." ^ name) (fun () ->
-             Tuner.evaluate ~builtins ~prog ~func ~args:(Kit.copy_args j.args)
-               o.Search.evaluation.Tuner.config));
+        (Span.with_ ("core.tuner.evaluate." ^ j.spec.name) (fun () ->
+             Tuner.evaluate ~builtins ~prog:j.prog ~func:j.spec.func
+               ~args:(Kit.copy_args j.args) o.Search.evaluation.Tuner.config)))
+    ops;
+  List.iter
+    (fun j ->
+      let prog = j.prog and func = j.spec.func and name = j.spec.name in
       Compile_cache.clear ();
       ignore
         (Span.with_ ("core.profile.build." ^ name) (fun () ->
@@ -177,7 +159,7 @@ let ledger ~seed =
       ignore
         (Span.with_ ("range.analyze." ^ name) (fun () ->
              Range.analyze ~builtins ~prog ~func ~box ())))
-    ops;
+    jobs;
   List.map (fun j -> j.spec.name) jobs
 
 (* Summed over the five workloads where the metric has no workload

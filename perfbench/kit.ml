@@ -59,16 +59,12 @@ let rec count_stmts stmts =
 (* Closed loop for a time budget: one warm-up pass ([pass ~timed:false
    0], checked but not measured: the first pass pays heap growth and
    first-touch costs no later pass does), then timed passes 1, 2, ...
-   until [seconds] have gone, but at least [min_passes] of them. With
-   [alternate], even-numbered timed passes run traced and odd ones
-   untraced, so both halves of a tracing-overhead comparison see the
-   same drift of the host. *)
-let loop ?(alternate = false) ~seconds ~min_passes pass =
+   until [seconds] have gone, but at least [min_passes] of them. *)
+let loop ~seconds ~min_passes pass =
   pass ~timed:false 0;
   let t0 = Stat.now () in
   let rec go k =
     if k <= min_passes || Stat.now () -. t0 < seconds then begin
-      if alternate then Span.enabled := k mod 2 = 0;
       pass ~timed:true k;
       go (k + 1)
     end

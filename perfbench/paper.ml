@@ -151,42 +151,47 @@ let pass ks =
   let ops =
     List.map2
       (fun k a ->
-        let r, s =
-          Stat.time (fun () ->
-              Span.with_ ("core.estimate.attrib." ^ k.spec.name) (fun () ->
-                  E.run k.est a))
-        in
+        let r, s = Stat.time (fun () -> E.run k.est a) in
         (k, s, r))
       ks args
   in
   (Stat.now () -. t0, ops)
 
-type loop_result = { pass_s : float list; op_s : float list }
+type loop_result = {
+  pass_s : float list;
+  op_s : (string * float list) list;  (** analysis times per kernel *)
+}
 
 (* Closed loop of passes for [seconds]. Every report must be
    bit-identical to the first pass's, and the summed analysis bytes must
    repeat exactly. *)
-let run_loop ?alternate ?(min_passes = 3) ~seconds ks =
-  let first = Hashtbl.create 8 in
-  let pass_s = ref [] and op_s = ref [] in
-  Kit.loop ?alternate ~seconds ~min_passes (fun ~timed _ ->
+let run_loop ?(min_passes = 3) ~seconds ks =
+  let first = Hashtbl.create 8 and op_s = Hashtbl.create 8 in
+  let pass_s = ref [] in
+  Kit.loop ~seconds ~min_passes (fun ~timed _ ->
       let s, ops = pass ks in
       if timed then pass_s := s :: !pass_s;
       let bytes = ref 0 in
       List.iter
         (fun (k, s, r) ->
-          if timed then op_s := s :: !op_s;
+          let name = k.spec.name in
+          if timed then
+            Hashtbl.replace op_s name
+              (s :: Option.value ~default:[] (Hashtbl.find_opt op_s name));
           bytes := !bytes + r.E.analysis_bytes;
-          match Hashtbl.find_opt first k.spec.name with
+          match Hashtbl.find_opt first name with
           | None ->
-              Hashtbl.replace first k.spec.name r;
-              Out.check true k.spec.name
+              Hashtbl.replace first name r;
+              Out.check true name
           | Some r0 ->
               Out.check (Kit.same_report r0 r)
-                (k.spec.name ^ ": analysis report differs from the first pass"))
+                (name ^ ": analysis report differs from the first pass"))
         ops;
       Out.exact ~unit_:"bytes" "core.estimate.analysis_peak_bytes" !bytes);
-  { pass_s = List.rev !pass_s; op_s = List.rev !op_s }
+  {
+    pass_s = List.rev !pass_s;
+    op_s = List.map (fun k -> (k.spec.name, List.rev (Hashtbl.find op_s k.spec.name))) ks;
+  }
 
 (* ---- layer ledger (traced run) ---- *)
 

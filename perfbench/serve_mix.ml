@@ -202,40 +202,51 @@ let matches fields resp =
 
 (* ---- the daemon ---- *)
 
-type daemon = { pid : int; socket : string; conns : Client.t array }
+type daemon = {
+  pid : int;
+  conns : Client.t array;
+  err : in_channel;  (** the daemon's stderr *)
+}
 
-let rec connect socket deadline =
-  match Client.connect_unix socket with
-  | c -> c
-  | exception Unix.Unix_error ((Unix.ECONNREFUSED | Unix.ENOENT), _, _)
-    when Stat.now () < deadline ->
-      Unix.sleepf 0.002;
-      connect socket deadline
-
-(* Daemon start plus connect: returns once every connection answers a
-   ping. The daemon's own output goes to this process's stderr so the
-   result line stays last on stdout. *)
+(* Daemon start plus connect. `cheffp serve` prints its "listening"
+   line on stderr once its socket is bound and listening, so blocking
+   on that line times readiness without a polling interval. Returns
+   once every connection answers a ping. *)
 let start ~cheffp ~socket =
+  let r, w = Unix.pipe ~cloexec:true () in
   let pid =
     Unix.create_process cheffp
       [| cheffp; "serve"; "--socket"; socket; "--workers"; string_of_int workers |]
-      Unix.stdin Unix.stderr Unix.stderr
+      Unix.stdin Unix.stderr w
   in
-  let deadline = Stat.now () +. 30. in
+  Unix.close w;
+  let err = Unix.in_channel_of_descr r in
+  (match input_line err with
+  | _ -> ()
+  | exception End_of_file -> failwith "cheffp serve exited before listening");
   let conns =
     Array.init connections (fun i ->
-        let c = connect socket deadline in
+        let c = Client.connect_unix socket in
         let pong = Client.rpc c (Client.request ~id:(-1 - i) ~cmd:"ping" []) in
         if Json.member "ok" pong <> Json.Bool true then failwith "daemon ping failed";
         c)
   in
-  { pid; socket; conns }
+  { pid; conns; err }
 
+(* SIGTERM is the daemon's documented stop: with no connection left open
+   it drains at once and exits. Whatever it printed on the way out is
+   passed on to this process's stderr, so the result line stays last on
+   stdout. *)
 let stop d =
-  (try ignore (Client.rpc d.conns.(0) (Client.request ~id:0 ~cmd:"shutdown" []))
-   with _ -> ());
   Array.iter Client.close d.conns;
-  ignore (Unix.waitpid [] d.pid)
+  Unix.kill d.pid Sys.sigterm;
+  ignore (Unix.waitpid [] d.pid);
+  (try
+     while true do
+       prerr_endline (input_line d.err)
+     done
+   with End_of_file -> ());
+  close_in d.err
 
 (* Kill the daemon if the run dies before a clean [stop]. *)
 let guard d f =
@@ -284,11 +295,11 @@ let round d ts order ~next_id =
 
 type loop_result = { pass_s : float list; samples : sample list }
 
-let run_loop ?alternate ?(min_passes = 2) ~seconds ~seed d ts expect =
+let run_loop ?(min_passes = 2) ~seconds ~seed d ts expect =
   let ts = Array.of_list ts in
   let next_id = Atomic.make 1 in
   let pass_s = ref [] and all = ref [] in
-  Kit.loop ?alternate ~seconds ~min_passes (fun ~timed r ->
+  Kit.loop ~seconds ~min_passes (fun ~timed r ->
       let order = Array.init (Array.length ts) Fun.id in
       Cheffp_util.Rng.shuffle (Cheffp_util.Rng.substream (Int64.of_int seed) r) order;
       let s, got = round d ts order ~next_id in

@@ -53,6 +53,31 @@ let with_ ?(req = 0) name f =
             spans := s :: !spans))
   end
 
+let count () = locked (fun () -> List.length !spans)
+
+(* What recording one span costs: [n] spans around an empty call with
+   tracing on, less the same calls with tracing off, per span; the
+   median of five such trials. The calibration spans are dropped
+   again. *)
+let cost ?(n = 20_000) () =
+  let was = !enabled and kept = locked (fun () -> !spans) in
+  let trial on =
+    enabled := on;
+    let t0 = Stat.now () in
+    for _ = 1 to n do
+      with_ "perfbench.calibrate" ignore
+    done;
+    Stat.now () -. t0
+  in
+  let per_span () =
+    let off = trial false in
+    (trial true -. off) /. float_of_int n
+  in
+  let c = Stat.median (List.init 5 (fun _ -> per_span ())) in
+  locked (fun () -> spans := kept);
+  enabled := was;
+  c
+
 (* Self time of every span: its duration minus its children's. Children
    of one span run on its thread one after another, so they never
    overlap and their durations add up. Returns a table from span name

@@ -316,8 +316,8 @@ let print_batch_rows rows =
 (* ------------------------------------------------------------------ *)
 (* Profile-guided search (Core.Profile): one gradient-augmented run
    scores every candidate configuration, so `Hybrid skips the
-   executions measured search wastes on speculation past a failure
-   (chosen set bit-identical, strictly fewer executions) and `Modelled
+   all-demoted run the profile rejects (chosen set identical, one
+   execution fewer) and `Modelled
    picks a configuration with zero candidate executions. All runs are
    jobs=1, so the comparison is core-count independent. *)
 
@@ -426,18 +426,13 @@ let print_model_rows rows =
        rows)
 
 (* ------------------------------------------------------------------ *)
-(* Rigorous range bounds (DESIGN.md §17). Two claims, separately gated:
-
-   - Soundness: on every FPCore corpus kernel whose analysis certifies a
-     bound, the all-charged-vars-at-f32 bound must dominate the measured
-     demotion error |y_f32config − y_f64| at inputs sampled from the
-     kernel's [:pre] box (the same quantity the shadow oracle reports as
-     [demotion_error]). UNBOUNDED and not-certified verdicts claim
-     nothing and are vacuously sound — what is gated is zero UNSOUND.
-
-   - Pruning: `Hybrid search with the rigorous [prune_bound] must pick
-     the bit-identical demoted set at no more executions on every paper
-     workload, and strictly fewer on the ones where bounds certify. *)
+(* Rigorous range bounds (DESIGN.md §17). Soundness, gated: on every
+   FPCore corpus kernel whose analysis certifies a bound, the
+   all-charged-vars-at-f32 bound must dominate the measured demotion
+   error |y_f32config − y_f64| at inputs sampled from the kernel's
+   [:pre] box (the same quantity the shadow oracle reports as
+   [demotion_error]). UNBOUNDED and not-certified verdicts claim nothing
+   and are vacuously sound — what is gated is zero UNSOUND. *)
 
 module Range = Cheffp_range.Range
 module Rbox = Cheffp_range.Box
@@ -543,131 +538,10 @@ let print_range_soundness rows =
         (List.length sorted)
         (List.nth sorted (List.length sorted / 2))
 
-(* Pruning is measured in two threshold regimes per workload, against
-   the same `Hybrid baseline each time:
-
-   - tight: the workload's paper threshold, sitting below the
-     all-demoted error so the search takes its expensive probe + grow
-     path. Rigorous bounds rarely certify here (they over-approximate
-     the measured error by ~an order of magnitude); what is gated is
-     that they never change the chosen set and never cost executions.
-
-   - loose: the threshold is the certified all-candidates bound itself
-     — the "can everything demote?" fast-path question the analysis can
-     answer outright. Here the search must accept without executing a
-     single candidate (strictly fewer executions, same set). Workloads
-     whose analysis is UNBOUNDED fall back to twice the measured
-     all-demoted error, where certification cannot fire and both runs
-     must match exactly. *)
-type range_prune_row = {
-  pw : workload;
-  p_verdict : string;
-  p_analyze_ms : float;  (** one-off cost of the rigorous analysis *)
-  p_baseline_execs : int;  (** tight: `Hybrid, no prune_bound *)
-  p_pruned_execs : int;  (** tight: `Hybrid + rigorous prune_bound *)
-  p_pruned : int;
-  p_identical : bool;
-  p_loose_threshold : float;
-  p_loose_baseline_execs : int;
-  p_loose_pruned_execs : int;
-  p_loose_pruned : int;
-  p_loose_identical : bool;
-}
-
-let measure_range_prune w =
-  let module Config = Cheffp_precision.Config in
-  let module Interp = Cheffp_ir.Interp in
-  let tune ~threshold ?prune_bound () =
-    Gc.compact ();
-    Compile_cache.clear ();
-    Search.tune ~jobs:1 ?prune_bound ~prog:w.prog ~func:w.func ~args:w.args
-      ~threshold ()
-  in
-  let f = Cheffp_ir.Ast.func_exn w.prog w.func in
-  (* Point-mode search measures at the base args, so the certificate
-     only needs the degenerate point box — the tightest the Taylor
-     forms get. *)
-  let box = Rbox.point_of_args ~func:f ~args:w.args () in
-  let a, analyze_s =
-    Meter.time (fun () -> Range.analyze ~prog:w.prog ~func:w.func ~box ())
-  in
-  let prune_bound = Range.pruner a ~target:Cheffp_precision.Fp.F32 in
-  let candidates = Tuner.float_variables f in
-  let loose_threshold =
-    match prune_bound candidates with
-    | Some b -> b
-    | None ->
-        (* Nothing certifies: park the loose regime at twice the
-           measured all-demoted error, where both runs must agree. *)
-        let copy =
-          List.map (function
-            | Interp.Afarr a -> Interp.Afarr (Array.copy a)
-            | Interp.Aiarr a -> Interp.Aiarr (Array.copy a)
-            | x -> x)
-        in
-        let y config =
-          Interp.run_float ~config ~prog:w.prog ~func:w.func (copy w.args)
-        in
-        let demotion =
-          Float.abs
-            (y (Config.demote_all Config.double candidates
-                  Cheffp_precision.Fp.F32)
-            -. y Config.double)
-        in
-        2. *. Float.max demotion 1e-300
-  in
-  let baseline = tune ~threshold:w.threshold () in
-  let pruned = tune ~threshold:w.threshold ~prune_bound () in
-  let loose_baseline = tune ~threshold:loose_threshold () in
-  let loose_pruned = tune ~threshold:loose_threshold ~prune_bound () in
-  {
-    pw = w;
-    p_verdict = Range.verdict_to_string a.Range.verdict;
-    p_analyze_ms = analyze_s *. 1000.;
-    p_baseline_execs = baseline.Search.executions;
-    p_pruned_execs = pruned.Search.executions;
-    p_pruned = pruned.Search.pruned;
-    p_identical = pruned.Search.demoted = baseline.Search.demoted;
-    p_loose_threshold = loose_threshold;
-    p_loose_baseline_execs = loose_baseline.Search.executions;
-    p_loose_pruned_execs = loose_pruned.Search.executions;
-    p_loose_pruned = loose_pruned.Search.pruned;
-    p_loose_identical = loose_pruned.Search.demoted = loose_baseline.Search.demoted;
-  }
-
-let print_range_prune_rows rows =
-  Table.print
-    ~header:
-      [
-        "workload"; "tight"; "+bounds"; "loose"; "+bounds"; "pruned";
-        "verdict"; "analyze"; "identical";
-      ]
-    (List.map
-       (fun r ->
-         [
-           r.pw.name;
-           string_of_int r.p_baseline_execs;
-           string_of_int r.p_pruned_execs;
-           string_of_int r.p_loose_baseline_execs;
-           string_of_int r.p_loose_pruned_execs;
-           string_of_int (r.p_pruned + r.p_loose_pruned);
-           r.p_verdict;
-           Printf.sprintf "%.1f ms" r.p_analyze_ms;
-           string_of_bool (r.p_identical && r.p_loose_identical);
-         ])
-       rows)
-
-type range_block = {
-  rg_sound : range_sound_row list;
-  rg_prune : range_prune_row list;
-}
-
-let range_bench ?(samples = 24) ~workloads () =
-  let rg_sound = range_soundness ~samples () in
-  print_range_soundness rg_sound;
-  let rg_prune = List.map measure_range_prune workloads in
-  print_range_prune_rows rg_prune;
-  { rg_sound; rg_prune }
+let range_bench ?(samples = 24) () =
+  let rows = range_soundness ~samples () in
+  print_range_soundness rows;
+  rows
 
 (* Overhead guard: the disabled instrumentation path must be paid-for by
    design, not by measurement luck. We microbenchmark the disabled
@@ -860,14 +734,6 @@ let dist_scalar_rate r = dist_rate r.d_samples r.d_scalar_s
 let dist_sweep_rate r = dist_rate r.d_samples r.d_sweep_s
 let dist_pool_rate r = dist_rate r.d_samples r.d_pool_s
 
-let deep_copy_args args =
-  List.map
-    (function
-      | Cheffp_ir.Interp.Afarr a -> Cheffp_ir.Interp.Afarr (Array.copy a)
-      | Cheffp_ir.Interp.Aiarr a -> Cheffp_ir.Interp.Aiarr (Array.copy a)
-      | x -> x)
-    args
-
 (* Microsecond kernels (per-option Black-Scholes) make a single pass
    over the samples too short to time against scheduler noise: repeat
    the run until the window reaches [min_elapsed] and report the mean.
@@ -904,7 +770,7 @@ let measure_dist ?(samples = 192) ?(lanes = Cheffp_ir.Batch.default_sweep_lanes)
   let scalar_c = Compile.compile ~config ~prog:w.prog ~func:w.func () in
   let run_scalar () =
     Array.map
-      (fun args -> Compile.run_float scalar_c (deep_copy_args args))
+      (fun args -> Compile.run_float scalar_c (Cheffp_ir.Interp.copy_args args))
       inputs
   in
   let run_sweep jobs () =
@@ -951,7 +817,7 @@ let measure_dist ?(samples = 192) ?(lanes = Cheffp_ir.Batch.default_sweep_lanes)
     Array.for_all
       (fun args ->
         (Oracle.check_estimate ~margin:2.0 ~prog:w.prog ~func:w.func
-           ~config:quantile_config (deep_copy_args args))
+           ~config:quantile_config (Cheffp_ir.Interp.copy_args args))
           .Oracle.sound)
       (Array.sub inputs 0 (min 3 (Array.length inputs)))
   in
@@ -1072,14 +938,6 @@ let reparse_arg = function
         (Array.map (fun x -> float_of_string (Printf.sprintf "%.17g" x)) a)
   | Cheffp_ir.Interp.Aiarr a -> Cheffp_ir.Interp.Aiarr (Array.copy a)
 
-let copy_args args =
-  List.map
-    (function
-      | Cheffp_ir.Interp.Afarr a -> Cheffp_ir.Interp.Afarr (Array.copy a)
-      | Cheffp_ir.Interp.Aiarr a -> Cheffp_ir.Interp.Aiarr (Array.copy a)
-      | x -> x)
-    args
-
 let search_request ~id w =
   Client.request ~id ~cmd:"search"
     [
@@ -1148,7 +1006,7 @@ let direct_outcome w =
   let measure config =
     Shadow.measured_error
       (Shadow.run ~builtins ~config ~mode:Config.Source ~prog ~func:w.func
-         (copy_args args))
+         (Cheffp_ir.Interp.copy_args args))
   in
   let o =
     Search.tune ~target:Fp.F32 ~builtins ~jobs:1 ~strategy:`Hybrid
@@ -1632,9 +1490,8 @@ let write_json ~path ~soundness ~batch ~model ~dist ~server ~telemetry ~fpcore
   pf "  \"model_guided\": {\n";
   pf "    \"description\": \"Profile-guided search (Core.Profile): one \
       gradient-augmented run scores every candidate; hybrid skips the \
-      executions measured search wastes on speculation past a failure \
-      (chosen set bit-identical), modelled picks with zero candidate \
-      executions\",\n";
+      all-demoted run the profile rejects (chosen set bit-identical), \
+      modelled picks with zero candidate executions\",\n";
   pf "    \"jobs\": 1,\n";
   pf "    \"note\": \"all strategies run jobs=1, so the comparison is \
       core-count independent (see host_cores above for the parallel \
@@ -1801,13 +1658,11 @@ let write_json ~path ~soundness ~batch ~model ~dist ~server ~telemetry ~fpcore
   pf "    \"description\": \"rigorous interval/Taylor-form bounds \
       (DESIGN.md S17): certified all-charged-vars-at-f32 demotion-error \
       bounds vs sampled |y_f32 - y_f64| over each FPCore kernel's :pre \
-      box (zero UNSOUND gated), and Hybrid search with the rigorous \
-      prune_bound vs the plain hybrid baseline (bit-identical sets, \
-      executions saved)\",\n";
+      box (zero UNSOUND gated)\",\n";
   pf "    \"target\": \"f32\",\n";
-  pf "    \"corpus_kernels\": %d,\n" (List.length range.rg_sound);
-  pf "    \"certified_bounds\": %d,\n" (range_certified range.rg_sound);
-  pf "    \"unsound\": %d,\n" (List.length (range_unsound range.rg_sound));
+  pf "    \"corpus_kernels\": %d,\n" (List.length range);
+  pf "    \"certified_bounds\": %d,\n" (range_certified range);
+  pf "    \"unsound\": %d,\n" (List.length (range_unsound range));
   pf "    \"soundness\": [\n";
   List.iteri
     (fun i r ->
@@ -1821,30 +1676,8 @@ let write_json ~path ~soundness ~batch ~model ~dist ~server ~telemetry ~fpcore
            Printf.sprintf "%.6e" r.g_sampled_max
          else "null")
         r.g_points r.g_sound
-        (if i < List.length range.rg_sound - 1 then "," else ""))
-    range.rg_sound;
-  pf "    ],\n";
-  pf "    \"pruning\": [\n";
-  List.iteri
-    (fun i r ->
-      pf
-        "      {\"name\": \"%s\", \"verdict\": \"%s\", \"analyze_ms\": \
-         %.3f,\n\
-        \       \"tight\": {\"threshold\": %.17g, \"hybrid_executions\": %d, \
-         \"pruned_executions\": %d, \"pruned\": %d, \"executions_saved\": \
-         %d, \"demoted_identical\": %b},\n\
-        \       \"loose\": {\"threshold\": %.17g, \"hybrid_executions\": %d, \
-         \"pruned_executions\": %d, \"pruned\": %d, \"executions_saved\": \
-         %d, \"demoted_identical\": %b}}%s\n"
-        (json_escape r.pw.name) (json_escape r.p_verdict) r.p_analyze_ms
-        r.pw.threshold r.p_baseline_execs r.p_pruned_execs r.p_pruned
-        (r.p_baseline_execs - r.p_pruned_execs)
-        r.p_identical r.p_loose_threshold r.p_loose_baseline_execs
-        r.p_loose_pruned_execs r.p_loose_pruned
-        (r.p_loose_baseline_execs - r.p_loose_pruned_execs)
-        r.p_loose_identical
-        (if i < List.length range.rg_prune - 1 then "," else ""))
-    range.rg_prune;
+        (if i < List.length range - 1 then "," else ""))
+    range;
   pf "    ]\n";
   pf "  },\n";
   pf "  \"soundness\": {\n";
@@ -1974,12 +1807,9 @@ let search_bench ?(jobs = 4) ?(out = "BENCH_search.json")
   let fpcore = fpcore_bench () in
   print_fpcore fpcore;
   Printf.printf
-    "\n== Rigorous range bounds: corpus soundness + search pruning ==\n";
+    "\n== Rigorous range bounds: corpus soundness ==\n";
   let range =
-    range_bench
-      ~samples:(if small_soundness then 12 else 24)
-      ~workloads:(batch_workloads ~small:small_soundness ())
-      ()
+    range_bench ~samples:(if small_soundness then 12 else 24) ()
   in
   write_json ~path:out ~soundness ~batch ~model ~dist ~server ~telemetry
     ~fpcore ~range rows;

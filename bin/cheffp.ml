@@ -22,7 +22,6 @@ module Metrics = Cheffp_obs.Metrics
 module Export = Cheffp_obs.Export
 module Range = Cheffp_range.Range
 module Rbox = Cheffp_range.Box
-module Rinterval = Cheffp_range.Interval
 
 let read_file path =
   let ic = open_in_bin path in
@@ -265,11 +264,10 @@ let strategy_arg =
           "Candidate-judging strategy: $(b,measured) executes every \
            candidate (pure Precimonious baseline), $(b,modelled) scores \
            everything from one gradient-augmented profile run (zero \
-           candidate executions), $(b,hybrid) (default) measures every \
-           accept/reject decision but lets the profile bound each grow \
-           round, skipping the executions measured search wastes on \
-           speculation past a failure — chosen set bit-identical to \
-           measured, strictly fewer runs.")
+           candidate executions), $(b,hybrid) (default) is measured \
+           plus one rule: it skips the all-demoted run when the profile \
+           rejects it by the --prune-margin factor — chosen set \
+           identical to measured, one run fewer.")
 
 let strategy_of s =
   match Cheffp_core.Search.strategy_of_string s with
@@ -282,11 +280,9 @@ let prune_margin_arg =
     & opt float 64.
     & info [ "prune-margin" ] ~docv:"M"
         ~doc:
-          "Hybrid model-distrust margin (>= 1): a candidate set is \
-           treated as model-rejected — bounding the current grow round, \
-           or skipping the all-demoted probe — only when its profile \
-           score exceeds M times the threshold. Decisions stay \
-           measured; M only shifts where executions are saved.")
+          "Hybrid model-distrust margin (>= 1): the all-demoted run is \
+           skipped only when its profile score exceeds M times the \
+           threshold. Every other decision stays measured.")
 
 let target_of s =
   match Fp.format_of_string s with
@@ -358,29 +354,6 @@ let sampling_plan ~dist cores func (f : Ast.func) args =
 
 (* ---------------- rigorous range bounds ---------------- *)
 
-(* A sampling plan's support as a range box: [None] when any draw has
-   unbounded support (Normal) — no finite box covers it, so rigorous
-   pruning must stay off. *)
-let box_of_plan plan =
-  let exception Unbounded_support in
-  try
-    Some
-      (Rbox.make
-         (List.map
-            (fun (name, view) ->
-              let dim =
-                match view with
-                | `Fixed a -> Rbox.Dfixed a
-                | `Interval (lo, hi) -> Rbox.Dflt (Rinterval.make lo hi)
-                | `Intervals pairs ->
-                    Rbox.Dfarr
-                      (Array.map (fun (lo, hi) -> Rinterval.make lo hi) pairs)
-                | `Unbounded -> raise Unbounded_support
-              in
-              (name, dim))
-            (Cheffp_core.Sampling.box_view plan)))
-  with Unbounded_support -> None
-
 let range_arg =
   Arg.(
     value & flag
@@ -389,10 +362,7 @@ let range_arg =
           "Rigorous interval/Taylor-form range analysis: certify a sound \
            upper bound on the mixed-precision error over an input box \
            (FPCore [:pre] ranges, --box overrides, or the default \xc2\xb150% \
-           box; zero-valued defaults widen to [-1,1]). On $(b,search), use \
-           the certified bounds to accept candidates without executing \
-           them — the chosen set is bit-identical, with strictly fewer \
-           candidate executions whenever a bound fires.")
+           box; zero-valued defaults widen to [-1,1]).")
 
 let box_arg =
   Arg.(
@@ -608,17 +578,9 @@ let tune_cmd =
            $ no_batch_arg $ samples_arg $ dist_arg $ seed_arg $ obs_term
            $ rest_args))
 
-let copy_args args =
-  List.map
-    (function
-      | Interp.Afarr a -> Interp.Afarr (Array.copy a)
-      | Interp.Aiarr a -> Interp.Aiarr (Array.copy a)
-      | (Interp.Aint _ | Interp.Aflt _) as x -> x)
-    args
-
 let search_cmd =
   let run file func threshold target strategy prune_margin format jobs batch
-      no_batch samples dist seed target_quantile range obs raw =
+      no_batch samples dist seed target_quantile obs raw =
     wrap (fun () ->
         with_obs ~cmd:"search" obs @@ fun () ->
         let prog, cores = load_any ~format file in
@@ -631,7 +593,7 @@ let search_cmd =
         let measure config =
           Cheffp_shadow.Shadow.measured_error
             (Cheffp_shadow.Shadow.run ~builtins:(builtins ()) ~config
-               ~mode:Config.Source ~prog ~func (copy_args args))
+               ~mode:Config.Source ~prog ~func (Interp.copy_args args))
         in
         let sampling =
           if samples > 0 then begin
@@ -646,33 +608,9 @@ let search_cmd =
           end
           else None
         in
-        (* Rigorous pruning (--range): certified bounds let the search
-           accept candidates without executing them. Single-point
-           tuning certifies over the degenerate point box (tightest);
-           sampled tuning over the plan's support box — unless a draw
-           has unbounded support (Normal), where no finite box exists
-           and pruning stays off. *)
-        let prune_bound =
-          if not range then None
-          else
-            let box =
-              match sampling with
-              | None -> Some (Rbox.point_of_args ~func:f ~args ())
-              | Some _ -> box_of_plan (sampling_plan ~dist cores func f args)
-            in
-            match box with
-            | None -> None
-            | Some box ->
-                let a =
-                  Trace.with_span "range.analyze" (fun () ->
-                      Range.analyze ~builtins:(builtins ()) ~prog ~func ~box
-                        ())
-                in
-                Some (Range.pruner a ~target)
-        in
         let o =
           Cheffp_core.Search.tune ~target ~builtins:(builtins ()) ~jobs
-            ~strategy:(strategy_of strategy) ~prune_margin ?prune_bound
+            ~strategy:(strategy_of strategy) ~prune_margin
             ?batch:(batch_of ~batch ~no_batch) ?sampling ~measure ~prog ~func
             ~args ~threshold ()
         in
@@ -685,7 +623,7 @@ let search_cmd =
       ret (const run $ file_arg $ func_arg $ threshold_arg $ target_arg
            $ strategy_arg $ prune_margin_arg $ format_arg $ jobs_arg
            $ batch_arg $ no_batch_arg $ samples_arg $ dist_arg $ seed_arg
-           $ target_quantile_arg $ range_arg $ obs_term $ rest_args))
+           $ target_quantile_arg $ obs_term $ rest_args))
 
 let validate_cmd =
   let run file func demote mode margin fuel format obs raw =
@@ -1210,12 +1148,8 @@ let top_cmd =
           line "queue wait p50 %s   p95 %s   p99 %s"
             (fmt_ms (mem qw "p50_ms")) (fmt_ms (mem qw "p95_ms"))
             (fmt_ms (mem qw "p99_ms"));
-          (let search = mem r "search" and range = mem r "range" in
-           line
-             "rigorous   pruned %.0f (window %.0f)   range bounds %.0f \
-              (window %.0f)   splits %.0f"
-             (num (mem search "pruned_total"))
-             (num (mem search "pruned_window"))
+          (let range = mem r "range" in
+           line "rigorous   range bounds %.0f (window %.0f)   splits %.0f"
              (num (mem range "bounds_total"))
              (num (mem range "bounds_window"))
              (num (mem range "splits_total")));

@@ -94,16 +94,10 @@ let search (o : Search.outcome) =
        Printf.sprintf " (program-runs-equivalent; %d batched sweeps)"
          o.Search.batched_runs
      else "")
-    (String.concat ""
-       [
-         (if o.Search.runs_avoided > 0 then
-            Printf.sprintf ", %d avoided by the error-atom profile"
-              o.Search.runs_avoided
-          else "");
-         (if o.Search.pruned > 0 then
-            Printf.sprintf ", %d pruned by rigorous bounds" o.Search.pruned
-          else "");
-       ])
+    (if o.Search.runs_avoided > 0 then
+       Printf.sprintf ", %d avoided by the error-atom profile"
+         o.Search.runs_avoided
+     else "")
     (match o.Search.demoted with [] -> "(nothing)" | l -> String.concat ", " l)
     ev.Tuner.actual_error o.Search.threshold o.Search.modelled_error
     (String.concat ""

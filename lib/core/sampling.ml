@@ -136,34 +136,6 @@ let describe plan =
               (Array.length a) ))
     plan.slots
 
-(* The plan's per-parameter support, as plain pairs: the bridge the CLI
-   and bench use to hand a sampling plan to the rigorous range analysis
-   (lib/range sits beside lib/core in the dependency order, so neither
-   can see the other's types). Normal draws have unbounded support — no
-   finite box exists, and callers must not prune. *)
-let box_view plan =
-  List.map
-    (fun (name, slot) ->
-      ( name,
-        match slot with
-        | Sfixed a -> `Fixed a
-        | Sscalar (Fixed v) -> `Interval (v, v)
-        | Sscalar (Uniform { lo; hi }) -> `Interval (lo, hi)
-        | Sscalar (Normal _) -> `Unbounded
-        | Sarray (base, `Dist (Fixed v)) ->
-            `Intervals (Array.map (fun _ -> (v, v)) base)
-        | Sarray (base, `Dist (Uniform { lo; hi })) ->
-            `Intervals (Array.map (fun _ -> (lo, hi)) base)
-        | Sarray (_, `Dist (Normal _)) -> `Unbounded
-        | Sarray (base, `Relative f) ->
-            `Intervals
-              (Array.map
-                 (fun e ->
-                   let d = if e = 0. then 1.0 else f *. Float.abs e in
-                   (e -. d, e +. d))
-                 base) ))
-    plan.slots
-
 let sampled_vars plan =
   List.filter_map
     (fun (name, slot) ->

@@ -70,20 +70,6 @@ val describe : plan -> (string * string) list
 (** Human-readable [(param, distribution)] rows for CLI/server
     output. *)
 
-val box_view :
-  plan ->
-  (string
-  * [ `Fixed of Interp.arg
-    | `Interval of float * float
-    | `Intervals of (float * float) array
-    | `Unbounded ])
-  list
-(** The plan's per-parameter support as plain bounds — the bridge for
-    handing a sampling plan to [Cheffp_range.Box] (the two libraries
-    sit side by side and cannot see each other's types). [`Unbounded]
-    marks Normal draws: their support has no finite box, so rigorous
-    pruning must be disabled for such plans. *)
-
 val sampled_vars : plan -> string list
 (** Parameters the plan actually samples (non-fixed slots). *)
 

@@ -24,7 +24,6 @@ type outcome = {
   executions : int;
   batched_runs : int;
   runs_avoided : int;
-  pruned : int;
   strategy : strategy;
   evaluation : Tuner.evaluation;
   modelled_error : float;
@@ -36,19 +35,10 @@ type outcome = {
 type sampling = { inputs : Interp.arg list array; quantile : float }
 
 let runs_avoided_c = Metrics.counter "search.runs_avoided"
-let pruned_c = Metrics.counter "search.pruned_total"
-
-let copy_args args =
-  List.map
-    (function
-      | Interp.Afarr a -> Interp.Afarr (Array.copy a)
-      | Interp.Aiarr a -> Interp.Aiarr (Array.copy a)
-      | (Interp.Aint _ | Interp.Aflt _) as x -> x)
-    args
 
 let tune ?(target = Fp.F32) ?mode ?builtins ?(jobs = 1) ?batch ?sampling
-    ?measure ?(strategy = `Hybrid) ?(prune_margin = 64.) ?prune_bound ~prog
-    ~func ~args ~threshold () =
+    ?measure ?(strategy = `Hybrid) ?(prune_margin = 64.) ~prog ~func
+    ~args ~threshold () =
   if prune_margin < 1. then
     invalid_arg "Search.tune: prune_margin must be >= 1";
   (match sampling with
@@ -83,39 +73,9 @@ let tune ?(target = Fp.F32) ?mode ?builtins ?(jobs = 1) ?batch ?sampling
   let executions = Atomic.make 0 in
   let batched_runs = Atomic.make 0 in
   let avoided = Atomic.make 0 in
-  let pruned = Atomic.make 0 in
   let skip n =
     ignore (Atomic.fetch_and_add avoided n);
     Metrics.add runs_avoided_c n
-  in
-  let prune_skip n =
-    ignore (Atomic.fetch_and_add pruned n);
-    Metrics.add pruned_c n
-  in
-  (* Rigorous acceptance: [prune_bound vars] is a certified upper bound
-     on the measured error of demoting [vars] (None = not certified —
-     see [Cheffp_range.Range.score]). A candidate whose bound clears
-     the threshold would also pass its measured accept, so taking it
-     without executing keeps the chosen set bit-identical; bounds are
-     never used to *reject* (an over-wide bound must cost executions,
-     not correctness), and probes are never pruned (their measured
-     errors are the greedy sort key). *)
-  let certified vars =
-    match prune_bound with
-    | None -> false
-    | Some bound -> (
-        match bound vars with Some b -> b <= threshold | None -> false)
-  in
-  (* The model rejects a candidate set when its scored error clears the
-     threshold with [prune_margin] to spare. The rejection is a
-     prediction, not a proof: on self-correcting iterative kernels
-     (HPCCG's CG loop) the measured error of an accepted set can sit
-     four orders of magnitude below its first-order score, so `Hybrid
-     only acts on a rejection where a wrong prediction cannot change
-     the chosen set (see the grow phase) or where the margin has been
-     validated to hold (the all-demoted shortcut). *)
-  let model_rejects vars =
-    Profile.score_vars profile ~target vars > prune_margin *. threshold
   in
   let run config =
     Atomic.incr executions;
@@ -126,7 +86,8 @@ let tune ?(target = Fp.F32) ?mode ?builtins ?(jobs = 1) ?batch ?sampling
     let compiled =
       Compile_cache.compile ?builtins ?mode ~meter:true ~config ~prog ~func ()
     in
-    Trace.with_span "run" (fun () -> Compile.run_float compiled (copy_args args))
+    Trace.with_span "run" (fun () ->
+        Compile.run_float compiled (Interp.copy_args args))
   in
   let candidates = Tuner.float_variables (Ast.func_exn prog func) in
   let chosen =
@@ -162,7 +123,6 @@ let tune ?(target = Fp.F32) ?mode ?builtins ?(jobs = 1) ?batch ?sampling
         in
         List.rev chosen
     | (`Measured | `Hybrid) as strategy ->
-        let prune = strategy = `Hybrid in
         (* What one candidate configuration's "error" means. Point mode:
            |y_config - y_double| at the single base args. Sampled mode
            ([sampling]): a Monte-Carlo input sweep through the batched
@@ -281,24 +241,22 @@ let tune ?(target = Fp.F32) ?mode ?builtins ?(jobs = 1) ?batch ?sampling
                 sets vals
           | _, _ -> Pool.parallel_map ~jobs (fun vars -> error_of vars) sets
         in
-        (* The all-demoted shortcut costs one run under `Measured.
-           When the model rejects the full set with margin to spare,
-           `Hybrid skips that certain-to-fail run: on every workload
-           where search is non-trivial, one execution saved before any
-           probing. *)
-        if certified candidates then begin
-          (* Rigorous all-demoted accept: the bound certifies the most
-             aggressive configuration, so the search is over before its
-             first candidate execution. *)
-          prune_skip 1;
-          Trace.event "search.prune"
-            ~attrs:
-              [ ("phase", Trace.Str "all_demoted"); ("pruned", Trace.Int 1) ];
-          candidates
-        end
-        else
+        (* The all-demoted shortcut costs one run under `Measured. The
+           model rejects the full set when its scored error clears the
+           threshold with [prune_margin] to spare; `Hybrid then skips
+           that certain-to-fail run — one execution saved before any
+           probing on every workload where search is non-trivial. The
+           rejection is a prediction, not a proof (on self-correcting
+           kernels like HPCCG's CG loop the measured error of an
+           accepted set can sit orders of magnitude below its
+           first-order score), which is why it is trusted here only,
+           where the margin has been validated to hold. *)
         let all_error =
-          if prune && model_rejects candidates then begin
+          if
+            strategy = `Hybrid
+            && Profile.score_vars profile ~target candidates
+               > prune_margin *. threshold
+          then begin
             skip 1;
             Trace.event "search.model_score"
               ~attrs:
@@ -318,8 +276,7 @@ let tune ?(target = Fp.F32) ?mode ?builtins ?(jobs = 1) ?batch ?sampling
                are never model-pruned: a solo score can overestimate the
                measured error without bound (exactly-representable
                values, self-correcting iteration), so any margin large
-               enough to be safe would also never fire. The savings live
-               where a wrong model cannot change the outcome. *)
+               enough to be safe would also never fire. *)
             let individual =
               Trace.with_span "search.probe" (fun () ->
                   let errs =
@@ -339,135 +296,37 @@ let tune ?(target = Fp.F32) ?mode ?builtins ?(jobs = 1) ?batch ?sampling
                from the survivors, so accepted sets are bit-identical to
                the one-at-a-time greedy for any [jobs] (the speculated
                trials past a failure are wasted executions — the price
-               of the batch, counted like any other run).
-
-               Under `Hybrid, a round's prefixes are nested and atoms
-               are non-negative, so their model scores are monotone
-               non-decreasing: the first model-rejected prefix caps the
-               round's speculation depth (never below one trial — that
-               keeps the rounds making progress even when the model
-               rejects everything). Capped trials surface as [None] and
-               accept treats a [None] as a round boundary — the
-               candidate stays pending and is re-speculated next round
-               — NOT as a failure, so the decision sequence, and with
-               it the chosen set, is bit-identical to `Measured no
-               matter how wrong the model is. The executions saved are
-               exactly the post-failure speculation waste `Measured
-               pays: when a round's last measured trial fails, the
-               capped tail is waste the model predicted away, and it is
-               only then that the cut counts as avoided. This keeps the
-               invariant [hybrid executions + runs avoided = measured
-               executions] whenever the all-demoted shortcut's margin
-               holds. *)
+               of the batch, counted like any other run). *)
             let rec grow chosen pending =
               match pending with
               | [] -> chosen
               | _ ->
-                  (* Rigorous prefix accepts: round prefixes are nested,
-                     so certified bounds are monotone — the longest
-                     certified prefix from the round's start is accepted
-                     without executing (each accept is a run `Measured
-                     must perform). The first non-certified candidate
-                     falls through to the measured machinery below,
-                     which decides it exactly as before. *)
-                  let chosen, pending =
-                    if prune_bound = None then (chosen, pending)
-                    else begin
-                      let rec certify acc pend trial k =
-                        match pend with
-                        | (v, _) :: rest ->
-                            let trial = trial @ [ v ] in
-                            if certified trial then
-                              certify (acc @ [ v ]) rest trial (k + 1)
-                            else (acc, pend, k)
-                        | [] -> (acc, [], k)
-                      in
-                      let chosen', pending', k =
-                        certify chosen pending chosen 0
-                      in
-                      if k > 0 then begin
-                        prune_skip k;
-                        Trace.event "search.prune"
-                          ~attrs:
-                            [
-                              ("phase", Trace.Str "grow");
-                              ("pruned", Trace.Int k);
-                            ]
-                      end;
-                      (chosen', pending')
-                    end
-                  in
-                  match pending with
-                  | [] -> chosen
-                  | _ ->
                   let prefixes =
                     List.rev
                       (fst
                          (List.fold_left
                             (fun (acc, trial) (v, _) ->
                               let trial = trial @ [ v ] in
-                              ((v, trial) :: acc, trial))
+                              (trial :: acc, trial))
                             ([], chosen) pending))
                   in
-                  let errs, cut_len =
+                  let errs =
                     Trace.with_span "search.grow" (fun () ->
                         if Trace.enabled () then
                           Trace.add_attr "pending"
                             (Trace.Int (List.length pending));
-                        let to_run, cut =
-                          if prune then
-                            Trace.with_span "search.model_score" (fun () ->
-                                let rec split acc = function
-                                  | [] -> (List.rev acc, [])
-                                  | ((_, trial) as p) :: rest ->
-                                      if model_rejects trial then
-                                        (List.rev acc, p :: rest)
-                                      else split (p :: acc) rest
-                                in
-                                let to_run, cut = split [] prefixes in
-                                (* Forced progress: always measure at
-                                   least the round's first trial. *)
-                                let to_run, cut =
-                                  match (to_run, cut) with
-                                  | [], p :: rest -> ([ p ], rest)
-                                  | _ -> (to_run, cut)
-                                in
-                                if Trace.enabled () then begin
-                                  Trace.add_attr "scored"
-                                    (Trace.Int (List.length prefixes));
-                                  Trace.add_attr "cut"
-                                    (Trace.Int (List.length cut))
-                                end;
-                                (to_run, cut))
-                          else (prefixes, [])
-                        in
-                        let measured =
-                          errors_of_sets (List.map snd to_run)
-                        in
-                        ( List.map (fun e -> Some e) measured
-                          @ List.map (fun _ -> None) cut,
-                          List.length cut ))
+                        errors_of_sets prefixes)
                   in
                   let rec accept chosen pend errs =
                     match (pend, errs) with
-                    | [], _ | _, [] -> (chosen, [], false)
-                    | (v, _) :: pend', e :: errs' -> (
-                        match e with
-                        | Some e when e <= threshold ->
-                            accept (chosen @ [ v ]) pend' errs'
-                        | Some _ ->
-                            (* Measured failure: drop the candidate.
-                               `Measured would have speculated the cut
-                               tail past this failure and wasted it. *)
-                            (chosen, pend', true)
-                        | None ->
-                            (* Cap reached with no failure: keep the
-                               candidate for the next round. *)
-                            (chosen, pend, false))
+                    | (v, _) :: pend', e :: errs' ->
+                        if e <= threshold then
+                          accept (chosen @ [ v ]) pend' errs'
+                        else (chosen, pend')
+                    | _ -> (chosen, [])
                   in
-                  let chosen', rest, dropped = accept chosen pending errs in
-                  if dropped && cut_len > 0 then skip cut_len;
-                  grow chosen' rest
+                  let chosen, rest = accept chosen pending errs in
+                  grow chosen rest
             in
             grow [] individual)
   in
@@ -491,16 +350,13 @@ let tune ?(target = Fp.F32) ?mode ?builtins ?(jobs = 1) ?batch ?sampling
             e))
       measure
   in
-  if Trace.enabled () then begin
+  if Trace.enabled () then
     Trace.add_attr "runs_avoided" (Trace.Int (Atomic.get avoided));
-    Trace.add_attr "pruned" (Trace.Int (Atomic.get pruned))
-  end;
   {
     demoted = chosen;
     executions = Atomic.get executions;
     batched_runs = Atomic.get batched_runs;
     runs_avoided = Atomic.get avoided;
-    pruned = Atomic.get pruned;
     strategy;
     evaluation;
     modelled_error;

@@ -39,14 +39,11 @@ type strategy = [ `Measured | `Modelled | `Hybrid ]
       ascending-atom selection under half the threshold (the same
       Source-mode headroom {!Tuner.tune}'s default margin budgets),
       with overflow vetoes answered from the profile's value ranges;
-    - [`Hybrid] (the default): every accept/drop decision still comes
-      from a measured (or batched) run — the model only spends the
-      executions whose results cannot influence those decisions: the
-      all-demoted shortcut when the model rejects it with
-      [prune_margin] to spare, and the speculation tails of greedy
-      rounds (capped trials are deferred, not dropped, so a wrong
-      model costs executions rather than correctness). The chosen set
-      is bit-identical to [`Measured]'s; skipped runs are counted in
+    - [`Hybrid] (the default): [`Measured] plus one rule — the
+      all-demoted run is skipped when the model rejects the full
+      candidate set with [prune_margin] to spare. Every accept/drop
+      decision still comes from a measured (or batched) run, so the
+      chosen set is [`Measured]'s; the skipped run is counted in
       [runs_avoided]. *)
 
 val strategy_name : strategy -> string
@@ -68,19 +65,10 @@ type outcome = {
   runs_avoided : int;
       (** candidate executions the error-atom profile predicted away
           ([0] under [`Measured]; the whole candidate space under
-          [`Modelled]). Under [`Hybrid] the count is exact:
-          [executions + runs_avoided] equals what [`Measured] would
-          have executed, as long as the all-demoted shortcut's margin
-          holds. Also accumulated in the [search.runs_avoided]
-          counter. *)
-  pruned : int;
-      (** candidate executions replaced by rigorous certificates from
-          the [prune_bound] callback ([0] without one). Each pruned
-          run is an {e accept} the measured search must also reach, so
-          the invariant extends to
-          [executions + runs_avoided + pruned] equals the [`Measured]
-          total. Also accumulated in the [search.pruned_total]
-          counter. *)
+          [`Modelled]; [0] or [1] under [`Hybrid], where
+          [executions + runs_avoided] equals what [`Measured] executes
+          as long as the all-demoted shortcut's margin holds). Also
+          accumulated in the [search.runs_avoided] counter. *)
   strategy : strategy;  (** the strategy that produced this outcome *)
   evaluation : Tuner.evaluation;
   modelled_error : float;
@@ -115,7 +103,6 @@ val tune :
   ?measure:(Config.t -> float) ->
   ?strategy:strategy ->
   ?prune_margin:float ->
-  ?prune_bound:(string list -> float option) ->
   prog:Ast.program ->
   func:string ->
   args:Interp.arg list ->
@@ -138,44 +125,16 @@ val tune :
 
     [strategy] defaults to [`Hybrid]. [prune_margin] (default [64.],
     must be [>= 1]; [Invalid_argument] otherwise) is the factor by
-    which a candidate set's modelled error must clear [threshold]
-    before [`Hybrid] treats the model's rejection as actionable. Two
-    sites act on it, chosen so that a wrong rejection is either
-    impossible to hit within the margin or cannot corrupt the result:
-    + the {e all-demoted shortcut}: when the model rejects the full
-      candidate set, its single certain-to-fail run is skipped. This is
-      the one margin-trusting skip — on every paper benchmark the
-      model's overestimate of the all-demoted error is well above
-      [64x], and the model-smoke test asserts the resulting sets stay
-      identical to [`Measured]'s;
-    + the {e greedy rounds}: prefix sets within a round are nested, so
-      their scores are monotone and the first rejection caps the
-      round's speculation depth (never below one trial). A capped
-      trial is deferred to the next round, not treated as a failure,
-      so the accept/drop decisions — and the chosen set — are
-      bit-identical to [`Measured] {e unconditionally}; only the
-      post-failure speculation waste is saved, and only counted as
-      avoided when the round's last measured trial did fail.
-    Individual probes are never pruned: a solo score can overestimate
+    which the all-demoted set's modelled error must clear [threshold]
+    before [`Hybrid] skips its run. That is the one margin-trusting
+    skip: on every paper benchmark the model's overestimate of the
+    all-demoted error is well above [64x], and the model-smoke test
+    asserts the resulting sets stay identical to [`Measured]'s. No
+    other candidate is model-pruned. A solo score can overestimate
     measured error without bound (exactly-representable stores,
     self-correcting iterations like HPCCG's CG loop — DESIGN.md §12),
-    so no margin both fires and stays safe.
-
-    [prune_bound], when given, must return a {e certified} upper bound
-    on the measured error of demoting exactly the given variable list
-    to [target] (or [None] when it cannot vouch for that set) —
-    [Cheffp_range.Range.pruner] is the intended implementation, passed
-    from above because the rigorous-range library sits higher in the
-    dependency order (exactly like [measure]). It is only ever used to
-    {e accept} without executing, at the two sites where a certified
-    accept is a decision the measured search must reach anyway: the
-    all-demoted shortcut (bound below [threshold] — search over,
-    zero candidate executions) and the longest certified prefix of each
-    greedy round (prefixes are nested, so certified bounds are
-    monotone). Rejections always stay measured, so an over-wide bound
-    costs nothing and a tight one only removes runs whose outcome is
-    forced: the chosen set stays bit-identical for any callback, and
-    each certificate counts in [pruned] (see DESIGN.md §17).
+    so no margin on the probes or the grow rounds both fires and stays
+    safe.
 
     [batch] (default off; [Some k] with [k >= 2] enables) evaluates the
     probe and growth candidates through {!Cheffp_ir.Batch}: the n
@@ -186,8 +145,7 @@ val tune :
     is unchanged — lanes that diverge from shared control flow are
     transparently re-run scalar. The reference run, the all-demoted
     shortcut and the final {!Tuner.evaluate} stay scalar (one or two
-    configurations are below the batching break-even). Speculation caps
-    compose with batching: a capped round simply sweeps fewer lanes.
+    configurations are below the batching break-even).
 
     [sampling] (default off) switches [`Measured]/[`Hybrid] candidate
     judgement from single-point to quantile-targeted: the double
@@ -226,7 +184,7 @@ val tune :
     configurations revisited across the run compile once.
 
     Observability: the [search.tune] span carries [strategy] and
-    [runs_avoided] attributes; model-scoring phases record
-    [search.model_score] spans (with [scored]/[cut] counts); avoided
-    runs accumulate in the [search.runs_avoided] counter; the profile
+    [runs_avoided] attributes; [`Modelled] scoring records a
+    [search.model_score] span and the [`Hybrid] all-demoted skip a
+    [search.model_score] event; avoided runs accumulate in the [search.runs_avoided] counter; the profile
     build/fetch traces as {!Profile.build} documents. *)

@@ -1001,14 +1001,6 @@ let compile ?builtins ?(mode = Config.Source) ?(meter = false)
 
 type result = { lanes : Interp.result array; divergences : int }
 
-let copy_args args =
-  List.map
-    (function
-      | Interp.Afarr a -> Interp.Afarr (Array.copy a)
-      | Interp.Aiarr a -> Interp.Aiarr (Array.copy a)
-      | (Interp.Aint _ | Interp.Aflt _) as x -> x)
-    args
-
 (* Per-lane storage formats of every float slot, then the format of
    every float expression node by folding the rule DAG (children were
    emitted before parents). [config_of] gives each lane's
@@ -1177,7 +1169,7 @@ let run ?counters ?fallback t ~configs args =
     t.param_bindings args;
   let fallback = match fallback with Some f -> f | None -> default_fallback t in
   execute t benv ~counters ~fallback_run:(fun l ->
-      Compile.run ~counter:counters.(l) (fallback configs.(l)) (copy_args args))
+      Compile.run ~counter:counters.(l) (fallback configs.(l)) (Interp.copy_args args))
 
 (* ------------------------------------------------------------------ *)
 (* Input-sweep axis: K sampled argument vectors under ONE
@@ -1296,7 +1288,7 @@ let run_inputs ?counters ?fallback t ~config (inputs : Interp.arg list array) =
   let scalar = lazy (fallback config) in
   execute t benv ~counters ~fallback_run:(fun l ->
       Compile.run ~counter:counters.(l) (Lazy.force scalar)
-        (copy_args inputs.(l)))
+        (Interp.copy_args inputs.(l)))
 
 let run_inputs_floats ?counters ?fallback t ~config inputs =
   let r = run_inputs ?counters ?fallback t ~config inputs in

@@ -17,6 +17,12 @@ type arg =
   | Afarr of float array  (** shared with the callee: mutated in place *)
   | Aiarr of int array
 
+val copy_args : arg list -> arg list
+(** Fresh copies of the array arguments (scalars are shared). The callee
+    mutates arrays in place, so every run that must be independent of
+    the others — concurrent candidates, repeated measurements — takes
+    its own copy. *)
+
 type result = {
   ret : Builtins.value option;
   outs : (string * Builtins.value) list;

@@ -22,7 +22,6 @@ type dim =
 type t = { dims : (string * dim) list }
 
 let dims t = t.dims
-let make dims = { dims }
 
 let default_iv v =
   if v = 0. then Interval.make (-1.) 1.

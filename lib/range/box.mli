@@ -20,10 +20,6 @@ type t
 
 val dims : t -> (string * dim) list
 
-val make : (string * dim) list -> t
-(** Box from explicit dimensions, in parameter order (e.g. converted
-    from a [Cheffp_core.Sampling.box_view]). *)
-
 val default_iv : float -> Interval.t
 (** The default box around a base value (+/- 50%, absolute [-1, 1] at
     zero). *)

@@ -119,9 +119,6 @@ let score (a : analysis) ~(target : Fp.format) (vars : string list) :
              0. a.leaves)
       with Not_certified -> None)
 
-let pruner (a : analysis) ~(target : Fp.format) : string list -> float option =
- fun vars -> score a ~target vars
-
 (* Union of every variable the certified forms charge — the demotion
    surface the bound can speak about. *)
 let charged_vars (a : analysis) =

@@ -3,8 +3,7 @@
     [analyze] runs the {!Taylor} evaluator through a {!Backend} and
     certifies a worst-configuration error bound (or says why none
     exists); [score] specializes the certified leaves to one concrete
-    demotion set in O(#vars); [pruner] packages that as the
-    [?prune_bound] callback {!Cheffp_core.Search.tune} accepts. *)
+    demotion set in O(#vars). *)
 
 open Cheffp_ir
 module Fp = Cheffp_precision.Fp
@@ -53,9 +52,6 @@ val score : analysis -> target:Fp.format -> string list -> float option
     half the target's finite range (overflow veto). A [Some b] is a
     sound upper bound on the configuration's error anywhere in the
     box. *)
-
-val pruner : analysis -> target:Fp.format -> string list -> float option
-(** [score], shaped for {!Cheffp_core.Search.tune}'s [?prune_bound]. *)
 
 val charged_vars : analysis -> string list
 (** Every variable the certified forms charge, sorted. *)

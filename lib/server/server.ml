@@ -92,14 +92,6 @@ let parse_config demote =
       | _ -> failwith ("bad demotion spec " ^ spec ^ " (expected var:fmt)"))
     Config.double demote
 
-let copy_args args =
-  List.map
-    (function
-      | Interp.Afarr a -> Interp.Afarr (Array.copy a)
-      | Interp.Aiarr a -> Interp.Aiarr (Array.copy a)
-      | (Interp.Aint _ | Interp.Aflt _) as x -> x)
-    args
-
 let batch_of (req : Protocol.request) =
   if req.no_batch || req.batch < 2 then None else Some req.batch
 
@@ -254,7 +246,7 @@ let handle_search t (req : Protocol.request) =
   let measure config =
     Shadow.measured_error
       (Shadow.run ~builtins:t.builtins ~config ~mode:Config.Source ~prog
-         ~func:req.func (copy_args args))
+         ~func:req.func (Interp.copy_args args))
   in
   let sampling =
     if req.samples > 0 then begin
@@ -480,7 +472,6 @@ let handle_stats t (req : Protocol.request) =
   in
   let req_delta, req_rate = wcounter "server.requests" in
   let err_delta, _ = wcounter "server.errors" in
-  let pruned_delta, _ = wcounter "search.pruned_total" in
   let bounds_delta, _ = wcounter "range.bound" in
   let pool_done_delta, pool_done_rate = wcounter "pool.shared.completed" in
   let steals_delta, _ = wcounter "pool.shared.steals" in
@@ -551,12 +542,6 @@ let handle_stats t (req : Protocol.request) =
             ] );
         ("latency", hist_json lat);
         ("queue_wait", hist_json (whist "server.queue_wait_seconds"));
-        ( "search",
-          Json.Obj
-            [
-              ("pruned_total", Json.Num (cum "search.pruned_total"));
-              ("pruned_window", Json.Num pruned_delta);
-            ] );
         ( "range",
           Json.Obj
             [

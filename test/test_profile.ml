@@ -130,28 +130,46 @@ let workloads () =
     ( "hpccg", B.Hpccg.program, B.Hpccg.func_name, B.Hpccg.args hp, 1e-10 );
   ]
 
-(* `Hybrid must reproduce `Measured's chosen set exactly, with strictly
-   fewer executions, and the avoided count must be exact: hybrid
-   executions + runs avoided = measured executions. *)
+(* `Hybrid is `Measured plus the all-demoted skip: it must reproduce
+   `Measured's chosen set exactly, with strictly fewer executions, at
+   most the one skipped run avoided, and that count exact (hybrid
+   executions + runs avoided = measured executions). Every other
+   candidate runs as under `Measured, so with lane batching on the
+   sweeps match too. *)
 let test_hybrid_bit_identical () =
   List.iter
-    (fun (name, prog, func, args, threshold) ->
-      let m =
-        Search.tune ~strategy:`Measured ~prog ~func ~args ~threshold ()
-      in
-      let h = Search.tune ~strategy:`Hybrid ~prog ~func ~args ~threshold () in
-      Alcotest.(check (list string))
-        (name ^ ": hybrid set = measured set")
-        m.Search.demoted h.Search.demoted;
-      Alcotest.(check bool)
-        (name ^ ": hybrid strictly cheaper")
-        true
-        (h.Search.executions < m.Search.executions);
-      Alcotest.(check int)
-        (name ^ ": avoided count exact")
-        m.Search.executions
-        (h.Search.executions + h.Search.runs_avoided))
-    (workloads ())
+    (fun batch ->
+      List.iter
+        (fun (name, prog, func, args, threshold) ->
+          let name =
+            match batch with
+            | Some k -> Printf.sprintf "%s (batch %d)" name k
+            | None -> name
+          in
+          let tune strategy =
+            Search.tune ~strategy ?batch ~prog ~func ~args ~threshold ()
+          in
+          let m = tune `Measured and h = tune `Hybrid in
+          Alcotest.(check (list string))
+            (name ^ ": hybrid set = measured set")
+            m.Search.demoted h.Search.demoted;
+          Alcotest.(check bool)
+            (name ^ ": hybrid strictly cheaper")
+            true
+            (h.Search.executions < m.Search.executions);
+          Alcotest.(check bool)
+            (name ^ ": at most the all-demoted run avoided")
+            true
+            (h.Search.runs_avoided <= 1);
+          Alcotest.(check int)
+            (name ^ ": avoided count exact")
+            m.Search.executions
+            (h.Search.executions + h.Search.runs_avoided);
+          Alcotest.(check int)
+            (name ^ ": batched sweeps = measured")
+            m.Search.batched_runs h.Search.batched_runs)
+        (workloads ()))
+    [ None; Some Batch.default_lanes ]
 
 (* `Modelled executes no candidates, and its chosen configuration both
    meets the threshold in the measured evaluation and validates against

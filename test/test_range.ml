@@ -1,6 +1,6 @@
 (* Rigorous range bounds (lib/range, DESIGN.md §17).
 
-   Four claims, each with its own suite:
+   Three claims, each with its own suite:
 
    - Interval arithmetic is an outward-rounded enclosure: every
      operation's result interval contains the pointwise binary64 result
@@ -17,12 +17,7 @@
      sweeps over the box for the fuzz side, the shadow oracle's
      [demotion_error] at the base point for the corpus side). An
      [Unbounded] verdict is acceptable (vacuous) — an unsound certified
-     bound is not.
-
-   - Pruning: `Hybrid search with the rigorous [?prune_bound] picks the
-     bit-identical demotion set with never more executions on all 5
-     paper workloads, and with strictly fewer executions (pruned > 0)
-     on >= 3 of them once the threshold is within certified reach. *)
+     bound is not. *)
 
 open Cheffp_ir
 module Fp = Cheffp_precision.Fp
@@ -30,7 +25,6 @@ module Config = Cheffp_precision.Config
 module Interval = Cheffp_range.Interval
 module Box = Cheffp_range.Box
 module Range = Cheffp_range.Range
-module Search = Cheffp_core.Search
 module Tuner = Cheffp_core.Tuner
 module Oracle = Cheffp_shadow.Oracle
 module B = Cheffp_benchmarks
@@ -339,120 +333,6 @@ let test_corpus_soundness () =
     (Printf.sprintf "meaningful share certified (%d)" !certified)
     true (!certified >= 30)
 
-(* ------------------------------------------------------------------ *)
-(* Pruning: bit-identity and strict savings on the paper workloads.   *)
-
-type workload = {
-  name : string;
-  prog : Ast.program;
-  func : string;
-  args : Interp.arg list;
-  threshold : float;
-}
-
-(* The five paper workloads at test-suite sizes; thresholds as in the
-   bench harness (below each benchmark's all-demoted error, so the
-   baseline takes the expensive probe + grow path). *)
-let paper_workloads () =
-  [
-    {
-      name = "arclength";
-      prog = B.Arclength.program;
-      func = B.Arclength.func_name;
-      args = B.Arclength.args ~n:500;
-      threshold = 1e-6;
-    };
-    {
-      name = "simpsons";
-      prog = B.Simpsons.program;
-      func = B.Simpsons.func_name;
-      args = B.Simpsons.args ~a:0. ~b:Float.pi ~n:500;
-      threshold = 1e-10;
-    };
-    {
-      name = "kmeans";
-      prog = B.Kmeans.program;
-      func = B.Kmeans.func_name;
-      args = B.Kmeans.args (B.Kmeans.generate ~npoints:120 ());
-      threshold = 1e-7;
-    };
-    {
-      name = "blackscholes";
-      prog = B.Blackscholes.program B.Blackscholes.Exact;
-      func = B.Blackscholes.price_func;
-      args = B.Blackscholes.price_args (B.Blackscholes.generate ~n:4 ()) 0;
-      threshold = 1e-9;
-    };
-    {
-      name = "hpccg";
-      prog = B.Hpccg.program;
-      func = B.Hpccg.func_name;
-      (* Bench-smoke size: any smaller and the all-demoted error drops
-         below the paper threshold, flipping the search regime. *)
-      args =
-        B.Hpccg.args (B.Hpccg.generate ~nx:5 ~ny:5 ~nz:5 ~max_iter:10 ());
-      threshold = 1e-10;
-    };
-  ]
-
-let test_prune_bit_identity () =
-  let strict = ref 0 in
-  List.iter
-    (fun w ->
-      let tune ~threshold ?strategy ?prune_bound () =
-        Search.tune ~jobs:1 ?strategy ?prune_bound ~prog:w.prog ~func:w.func
-          ~args:w.args ~threshold ()
-      in
-      (* Every candidate lands in exactly one bucket — executed,
-         model-avoided, or prune-accepted — so against the all-measured
-         strategy: measured = executions + runs_avoided + pruned. *)
-      let partition_invariant ~threshold (pruned : Search.outcome) =
-        let measured = tune ~threshold ~strategy:`Measured () in
-        Alcotest.(check int)
-          (Printf.sprintf "%s: executed/avoided/pruned partition @%g" w.name
-             threshold)
-          measured.Search.executions
-          (pruned.Search.executions + pruned.Search.runs_avoided
-         + pruned.Search.pruned)
-      in
-      let f = Ast.func_exn w.prog w.func in
-      let box = Box.point_of_args ~func:f ~args:w.args () in
-      let a = Range.analyze ~prog:w.prog ~func:w.func ~box () in
-      let prune_bound = Range.pruner a ~target:Fp.F32 in
-      (* Tight regime: the paper threshold. The rigorous bound rarely
-         certifies here; it must never change the answer or cost runs. *)
-      let baseline = tune ~threshold:w.threshold () in
-      let pruned = tune ~threshold:w.threshold ~prune_bound () in
-      Alcotest.(check (list string))
-        (w.name ^ ": tight demoted set identical")
-        baseline.Search.demoted pruned.Search.demoted;
-      Alcotest.(check bool)
-        (w.name ^ ": tight never more executions")
-        true
-        (pruned.Search.executions <= baseline.Search.executions);
-      partition_invariant ~threshold:w.threshold pruned;
-      (* Loose regime: threshold at the certified all-candidates bound,
-         where the accept-without-executing path can fire. *)
-      match prune_bound (Tuner.float_variables f) with
-      | None -> ()
-      | Some loose ->
-          let baseline = tune ~threshold:loose () in
-          let pruned = tune ~threshold:loose ~prune_bound () in
-          Alcotest.(check (list string))
-            (w.name ^ ": loose demoted set identical")
-            baseline.Search.demoted pruned.Search.demoted;
-          Alcotest.(check bool)
-            (w.name ^ ": loose prunes strictly")
-            true
-            (pruned.Search.pruned > 0
-            && pruned.Search.executions < baseline.Search.executions);
-          partition_invariant ~threshold:loose pruned;
-          incr strict)
-    (paper_workloads ());
-  Alcotest.(check bool)
-    (Printf.sprintf "strict savings on >= 3 workloads (%d/5)" !strict)
-    true (!strict >= 3)
-
 let () =
   Alcotest.run "range"
     [
@@ -476,10 +356,5 @@ let () =
             test_fuzz_soundness;
           Alcotest.test_case "FPCore corpus vs shadow oracle" `Quick
             test_corpus_soundness;
-        ] );
-      ( "pruning",
-        [
-          Alcotest.test_case "paper workloads bit-identity" `Quick
-            test_prune_bit_identity;
         ] );
     ]

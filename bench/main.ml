@@ -113,10 +113,65 @@ let range_block_ok rows =
 let range_smoke () =
   if not (range_block_ok (Perf.range_bench ~samples:12 ())) then exit 1
 
+(* Deterministic gates on the CHEF-FP hot path. The five paper adjoints,
+   generated at the `cheffp analyze` options, must carry per-variable
+   attribution and range tracking as plain stores: no registry call
+   statements. One attributed arclength analysis at n=2000 must
+   allocate at most 0.7x the minor-heap words it took while those were
+   builtin callbacks and every operand read was boxed: 3_506_187 words
+   then, 1_922_191 with the stores and in-place leaf operands (OCaml
+   5.1.1, x86-64). *)
+let callback_minor_words = 3_506_187.
+
+let hot_path_ok () =
+  let module B = Cheffp_benchmarks in
+  let module E = Cheffp_core.Estimate in
+  let estimate (source, func) =
+    E.estimate_error ~model:(Cheffp_core.Model.adapt ())
+      ~options:{ E.default_options with track_ranges = true }
+      ~prog:(Cheffp_ir.Parser.parse_program source) ~func ()
+  in
+  let rec registry_calls stmts =
+    List.exists
+      (function
+        | Cheffp_ir.Ast.Call_stmt (name, _) ->
+            String.starts_with ~prefix:"__chef_" name
+        | Cheffp_ir.Ast.If (_, a, b) -> registry_calls a || registry_calls b
+        | Cheffp_ir.Ast.For { body; _ } | Cheffp_ir.Ast.While (_, body) ->
+            registry_calls body
+        | _ -> false)
+      stmts
+  in
+  let arclength = (B.Arclength.source, B.Arclength.func_name) in
+  let lowered =
+    List.for_all
+      (fun k -> not (registry_calls (E.generated (estimate k)).Cheffp_ir.Ast.body))
+      [
+        arclength;
+        (B.Simpsons.source, B.Simpsons.func_name);
+        (B.Kmeans.source, B.Kmeans.func_name);
+        (B.Hpccg.source, B.Hpccg.func_name);
+        (B.Blackscholes.source B.Blackscholes.Exact, B.Blackscholes.func_name);
+      ]
+  in
+  let est = estimate arclength in
+  ignore (E.run est (B.Arclength.args ~n:2000));
+  Gc.full_major ();
+  let w0 = Gc.minor_words () in
+  ignore (E.run est (B.Arclength.args ~n:2000));
+  let words = Gc.minor_words () -. w0 in
+  let words_ok = words <= 0.7 *. callback_minor_words in
+  Printf.printf
+    "hot-path gates: paper adjoints free of registry calls: %b; arclength \
+     n=2000 minor words <= 0.7x %.0f: %b (%.0f)\n"
+    lowered callback_minor_words words_ok words;
+  lowered && words_ok
+
 (* Tiny-size smoke pass (seconds, not minutes): exercises the sweep
    plumbing, the parallel search path and the compile cache so
    `dune build @bench-smoke` gives CI-style coverage of the harness. *)
 let smoke ~jobs () =
+  let hot_path = hot_path_ok () in
   let sweep = Figures.fig4 ~jobs ~sizes:[ 2_000; 5_000 ] () in
   ignore sweep;
   let rows, batch, model, dist, soundness, server, telemetry, fpcore, range =
@@ -159,13 +214,15 @@ let smoke ~jobs () =
      benchmark: %b; hybrid = measured set with fewer executions: %b; \
      input-sweep samples bit-identical to scalar: %b; server block gates \
      pass: %b; telemetry block gates pass: %b; fpcore corpus >= 40 kernels \
-     with exact round trips: %b; range block gates pass: %b\n"
+     with exact round trips: %b; range block gates pass: %b; hot-path \
+     gates pass: %b\n"
     ok batch_ok hits traced overhead_ok sound model_ok dist_ok server_ok
-    telemetry_ok fpcore_ok range_ok;
+    telemetry_ok fpcore_ok range_ok hot_path;
   if
     not
       (ok && batch_ok && hits && traced && overhead_ok && sound && model_ok
-     && dist_ok && server_ok && telemetry_ok && fpcore_ok && range_ok)
+     && dist_ok && server_ok && telemetry_ok && fpcore_ok && range_ok
+     && hot_path)
   then exit 1
 
 (* Batched-search smoke (`dune build @batch-smoke`): tiny batched

@@ -26,71 +26,52 @@ let default_options =
     accumulation = `Absolute;
   }
 
-(* Runtime registry fed by generated [__chef_reg*] calls. *)
-type registry = {
-  ids : (string, int) Hashtbl.t;
-  mutable names : string array;
-  mutable totals : float array;
-  mutable lo : float array;
-  mutable hi : float array;
+(* Per-variable recordings of one execution. The generated code writes
+   [totals], [lo] and [hi] itself: they are passed as the [_chef_tot],
+   [_chef_lo] and [_chef_hi] out-array parameters, indexed by the
+   variable's registry id. Only the per-iteration table, keyed by a
+   runtime loop counter, is fed through the [__chef_reg_iter] callback. *)
+type recording = {
+  totals : float array;
+  lo : float array;
+  hi : float array;
   iters : (int * int, float ref) Hashtbl.t;
 }
 
-let registry_create () =
+let recording_create n =
   {
-    ids = Hashtbl.create 16;
-    names = [||];
-    totals = [||];
-    lo = [||];
-    hi = [||];
+    totals = Array.make n 0.;
+    lo = Array.make n Float.infinity;
+    hi = Array.make n Float.neg_infinity;
     iters = Hashtbl.create 64;
   }
 
-let registry_id reg var =
-  match Hashtbl.find_opt reg.ids var with
-  | Some id -> id
-  | None ->
-      let id = Hashtbl.length reg.ids in
-      Hashtbl.replace reg.ids var id;
-      id
+let tot_param = "_chef_tot"
+let lo_param = "_chef_lo"
+let hi_param = "_chef_hi"
 
-let registry_seal reg =
-  let n = Hashtbl.length reg.ids in
-  reg.names <- Array.make n "";
-  Hashtbl.iter (fun name id -> reg.names.(id) <- name) reg.ids;
-  reg.totals <- Array.make n 0.;
-  reg.lo <- Array.make n Float.infinity;
-  reg.hi <- Array.make n Float.neg_infinity
-
-let registry_reset reg =
-  Array.fill reg.totals 0 (Array.length reg.totals) 0.;
-  Array.fill reg.lo 0 (Array.length reg.lo) Float.infinity;
-  Array.fill reg.hi 0 (Array.length reg.hi) Float.neg_infinity;
-  Hashtbl.reset reg.iters
-
-(* The [__chef_reg*] runtime callbacks are registered in a builtins
-   table that may be shared and long-lived (the serve daemon keeps one
-   across all requests). They must not close over any particular
-   estimate's registry: two estimates built against the same table
-   would clobber each other's recordings — truncated attributions, or
-   out-of-bounds ids when the programs differ. Instead the callbacks
-   dispatch through a domain-local slot that [run] points at the
-   executing estimate's registry for the duration of the execution
-   (each execution stays on one domain, and pool workers run one task
-   at a time, so the slot cannot be observed mid-swap). *)
-let active_registry : registry option ref Domain.DLS.key =
+(* The [__chef_reg_iter] callback is registered in a builtins table that
+   may be shared and long-lived (the serve daemon keeps one across all
+   requests). It must not close over any particular execution's
+   recording: two estimates built against the same table would clobber
+   each other's recordings. Instead it dispatches through a domain-local
+   slot that [run] points at the executing run's recording for the
+   duration of the execution (each execution stays on one domain, and
+   pool workers run one task at a time, so the slot cannot be observed
+   mid-swap). *)
+let active_recording : recording option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
-let with_registry reg f =
-  let slot = Domain.DLS.get active_registry in
+let with_recording rc f =
+  let slot = Domain.DLS.get active_recording in
   let saved = !slot in
-  slot := Some reg;
+  slot := Some rc;
   Fun.protect ~finally:(fun () -> slot := saved) f
 
-let recording_registry () =
-  match !(Domain.DLS.get active_registry) with
-  | Some reg -> reg
-  | None -> failwith "__chef_reg* called outside Estimate.run"
+let current_recording () =
+  match !(Domain.DLS.get active_recording) with
+  | Some rc -> rc
+  | None -> failwith "__chef_reg_iter called outside Estimate.run"
 
 type t = {
   source_func : func;
@@ -100,7 +81,10 @@ type t = {
   prog : program;
   builtins : Builtins.t;
   compiled : Compile.t;
-  registry : registry;
+  names : string array;  (** source variable of each registry id *)
+  per_variable : bool;
+  track_ranges : bool;
+  track_iterations : bool;
   scalar_grad_params : (string * string) list;  (** original -> adjoint out *)
   array_grad_params : (string * string) list;
   error_param : string;
@@ -131,7 +115,15 @@ let estimate_error_inner ?(model = Model.taylor ())
   let builtins =
     match builtins with Some b -> b | None -> Builtins.create ()
   in
-  let registry = registry_create () in
+  let ids : (string, int) Hashtbl.t = Hashtbl.create 16 in
+  let registry_id var =
+    match Hashtbl.find_opt ids var with
+    | Some id -> id
+    | None ->
+        let id = Hashtbl.length ids in
+        Hashtbl.replace ids var id;
+        id
+  in
   let acc_name = ref None in
   let get_acc (info : Reverse.info) =
     match !acc_name with
@@ -161,7 +153,8 @@ let estimate_error_inner ?(model = Model.taylor ())
     if raw = Fconst 0. then []
     else begin
       let e = info.Reverse.fresh "_e" in
-      let id = registry_id registry ctx.Reverse.lhs_base in
+      let id = registry_id ctx.Reverse.lhs_base in
+      let at arr = Idx (arr, Iconst id) and store arr v = Assign (Lidx (arr, Iconst id), v) in
       let contribution =
         match options.accumulation with
         | `Absolute -> Call ("fabs", [ raw ])
@@ -172,10 +165,14 @@ let estimate_error_inner ?(model = Model.taylor ())
         Assign (Lvar acc, Binop (Add, Var acc, Var e));
       ]
       @ (if options.per_variable then
-           [ Call_stmt ("__chef_reg", [ Iconst id; Var e ]) ]
+           [ store tot_param (Binop (Add, at tot_param, Var e)) ]
          else [])
       @ (if options.track_ranges then
-           [ Call_stmt ("__chef_range", [ Iconst id; Var ctx.Reverse.value_var ]) ]
+           let v = Var ctx.Reverse.value_var in
+           [
+             If (Binop (Lt, v, at lo_param), [ store lo_param v ], []);
+             If (Binop (Gt, v, at hi_param), [ store hi_param v ], []);
+           ]
          else [])
       @
       match options.track_iterations with
@@ -203,10 +200,15 @@ let estimate_error_inner ?(model = Model.taylor ())
               [ Call_stmt ("__chef_reg_iter", [ Iconst id; Var c; sens ]) ])
     end
   in
+  let registry_param name = { pname = name; pty = Tarr f64s; pmode = Out } in
   let hooks =
     {
       Reverse.extra_params =
-        [ { pname = "_fp_error"; pty = Tscalar f64s; pmode = Out } ];
+        { pname = "_fp_error"; pty = Tscalar f64s; pmode = Out }
+        :: (if options.per_variable then [ registry_param tot_param ] else [])
+        @ (if options.track_ranges then
+             [ registry_param lo_param; registry_param hi_param ]
+           else []);
       prologue =
         (fun info ->
           [ Decl { name = get_acc info; dty = Dscalar f64s; init = None } ]);
@@ -226,38 +228,22 @@ let estimate_error_inner ?(model = Model.taylor ())
             ~use_activity:options.use_activity prog func)
     with Reverse.Error m -> err "%s" m
   in
-  registry_seal registry;
-  (* Runtime callbacks. *)
-  let reg_sig args =
-    { Builtins.args; ret = Builtins.Kflt; cls = Cheffp_precision.Cost.Basic;
-      approx = false }
-  in
-  Builtins.register builtins "__chef_reg"
-    (reg_sig [ Builtins.Kint; Builtins.Kflt ])
-    (fun a ->
-      let reg = recording_registry () in
-      let id = Builtins.as_int a.(0) and e = Builtins.as_float a.(1) in
-      reg.totals.(id) <- reg.totals.(id) +. e;
-      Builtins.F e);
-  Builtins.register builtins "__chef_range"
-    (reg_sig [ Builtins.Kint; Builtins.Kflt ])
-    (fun a ->
-      let reg = recording_registry () in
-      let id = Builtins.as_int a.(0) and v = Builtins.as_float a.(1) in
-      if v < reg.lo.(id) then reg.lo.(id) <- v;
-      if v > reg.hi.(id) then reg.hi.(id) <- v;
-      Builtins.F v);
-  Builtins.register builtins "__chef_reg_iter"
-    (reg_sig [ Builtins.Kint; Builtins.Kint; Builtins.Kflt ])
-    (fun a ->
-      let reg = recording_registry () in
-      let id = Builtins.as_int a.(0)
-      and iter = Builtins.as_int a.(1)
-      and s = Builtins.as_float a.(2) in
-      (match Hashtbl.find_opt reg.iters (id, iter) with
-      | Some r -> r := !r +. s
-      | None -> Hashtbl.replace reg.iters (id, iter) (ref s));
-      Builtins.F s);
+  let names = Array.make (Hashtbl.length ids) "" in
+  Hashtbl.iter (fun name id -> names.(id) <- name) ids;
+  let track_iterations = options.track_iterations <> `No in
+  if track_iterations then
+    Builtins.register builtins "__chef_reg_iter"
+      { Builtins.args = [ Builtins.Kint; Builtins.Kint; Builtins.Kflt ];
+        ret = Builtins.Kflt; cls = Cheffp_precision.Cost.Basic; approx = false }
+      (fun a ->
+        let rc = current_recording () in
+        let id = Builtins.as_int a.(0)
+        and iter = Builtins.as_int a.(1)
+        and s = Builtins.as_float a.(2) in
+        (match Hashtbl.find_opt rc.iters (id, iter) with
+        | Some r -> r := !r +. s
+        | None -> Hashtbl.replace rc.iters (id, iter) (ref s));
+        Builtins.F s);
   model.Model.setup builtins;
   let f = func_exn prog func in
   let grad =
@@ -316,7 +302,10 @@ let estimate_error_inner ?(model = Model.taylor ())
     prog = prog';
     builtins;
     compiled;
-    registry;
+    names;
+    per_variable = options.per_variable;
+    track_ranges = options.track_ranges;
+    track_iterations;
     scalar_grad_params = List.rev scalar_grads;
     array_grad_params = List.rev array_grads;
     error_param = "_fp_error";
@@ -353,10 +342,11 @@ let rec int_eval env = function
   | e -> err "unsupported size expression %s" (Pp.expr_to_string e)
 
 (* Per-run bundle: the full argument vector, the static byte account,
-   and the float inputs paired with their derivative buffers (for the
-   input term of the error model). *)
+   the float inputs paired with their derivative buffers (for the
+   input term of the error model), and the run's own recording. *)
 type run_inputs = {
   full : Interp.arg list;
+  recording : recording;
   static_bytes : int;
   scalar_inputs : (string * float) list;
   array_inputs : (string * float array * float array) list;
@@ -391,8 +381,15 @@ let assemble_args t (args : Interp.arg list) =
         | _ -> None)
       (List.combine params args)
   in
+  (* The registry arrays are passed by reference and written in place;
+     like the error output, they are not part of the analysis bytes. *)
+  let recording = recording_create (Array.length t.names) in
   let full =
     args @ List.map fst deriv_args @ [ Interp.Aflt 0. ]
+    @ (if t.per_variable then [ Interp.Afarr recording.totals ] else [])
+    @ (if t.track_ranges then
+         [ Interp.Afarr recording.lo; Interp.Afarr recording.hi ]
+       else [])
   in
   let deriv_bytes = List.fold_left (fun acc (_, b) -> acc + b) 0 deriv_args in
   let int_env =
@@ -410,12 +407,14 @@ let assemble_args t (args : Interp.arg list) =
   in
   {
     full;
+    recording;
     static_bytes = deriv_bytes + local_array_bytes + (8 * t.scalar_decl_count);
     scalar_inputs;
     array_inputs = List.rev !array_inputs;
   }
 
 let build_report t (result : Interp.result) (inputs : run_inputs) =
+  let rc = inputs.recording in
   let out name =
     match List.assoc_opt name result.Interp.outs with
     | Some (Builtins.F x) -> x
@@ -451,7 +450,7 @@ let build_report t (result : Interp.result) (inputs : run_inputs) =
   in
   let input_total = List.fold_left (fun acc (_, e) -> acc +. e) 0. input_terms in
   let per_variable =
-    Array.to_list (Array.mapi (fun id e -> (t.registry.names.(id), e)) t.registry.totals)
+    Array.to_list (Array.mapi (fun id e -> (t.names.(id), e)) rc.totals)
     @ List.filter (fun (_, e) -> e <> 0. || true) input_terms
     |> List.fold_left
          (fun acc (name, e) ->
@@ -465,11 +464,11 @@ let build_report t (result : Interp.result) (inputs : run_inputs) =
     let tbl : (string, (int * float) list ref) Hashtbl.t = Hashtbl.create 8 in
     Hashtbl.iter
       (fun (id, iter) v ->
-        let name = t.registry.names.(id) in
+        let name = t.names.(id) in
         match Hashtbl.find_opt tbl name with
         | Some l -> l := (iter, !v) :: !l
         | None -> Hashtbl.replace tbl name (ref [ (iter, !v) ]))
-      t.registry.iters;
+      rc.iters;
     Hashtbl.fold
       (fun name l acc ->
         (name, List.sort (fun (a, _) (b, _) -> compare a b) !l) :: acc)
@@ -485,8 +484,8 @@ let build_report t (result : Interp.result) (inputs : run_inputs) =
     let assigned =
       Array.to_list
         (Array.mapi
-           (fun id lo -> (t.registry.names.(id), (lo, t.registry.hi.(id))))
-           t.registry.lo)
+           (fun id lo -> (t.names.(id), (lo, rc.hi.(id))))
+           rc.lo)
       |> List.filter (fun (_, (lo, hi)) -> lo <= hi)
     in
     let scalars =
@@ -523,12 +522,16 @@ let build_report t (result : Interp.result) (inputs : run_inputs) =
     analysis_bytes = result.Interp.stack_peak_bytes + inputs.static_bytes;
   }
 
+(* Runs [f] with the DLS slot pointed at this run's recording, when the
+   generated code calls [__chef_reg_iter]. *)
+let recorded t inputs f =
+  if t.track_iterations then with_recording inputs.recording f else f ()
+
 let run t args =
   Trace.with_span "estimate.run" (fun () ->
       let inputs = assemble_args t args in
-      registry_reset t.registry;
       let result =
-        with_registry t.registry (fun () -> Compile.run t.compiled inputs.full)
+        recorded t inputs (fun () -> Compile.run t.compiled inputs.full)
       in
       let report = build_report t result inputs in
       if Trace.enabled () then begin
@@ -544,10 +547,9 @@ let run_sampled t ~plan ~seed ~samples =
       if Trace.enabled () then
         Trace.add_attr "samples" (Trace.Int samples);
       let q = Quantile.create () in
-      (* Sequential on purpose: the instrumentation registry is shared
-         mutable state reset per [run], so sampled analyses cannot fan
-         out across domains. The batched input-sweep path (Sampling /
-         Search) is where parallel sampling lives. *)
+      (* Sequential: each sample is one scalar analysis. The batched
+         input-sweep path (Sampling / Search) is where parallel sampling
+         lives. *)
       for i = 0 to samples - 1 do
         let args = Sampling.draw plan ~seed i in
         Quantile.add q (run t args).total_error
@@ -556,9 +558,8 @@ let run_sampled t ~plan ~seed ~samples =
 
 let run_interpreted t args =
   let inputs = assemble_args t args in
-  registry_reset t.registry;
   let result =
-    with_registry t.registry (fun () ->
+    recorded t inputs (fun () ->
         Interp.run ~builtins:t.builtins ~prog:t.prog ~func:t.grad.fname
           inputs.full)
   in

@@ -10,16 +10,18 @@
     so the error machinery rides the same fast path as the derivative
     code: this inlining is the paper's key performance claim.
 
-    Per-variable attribution and per-iteration sensitivity tracking are
-    implemented as calls from generated code into a runtime registry
-    (integer-id keyed), enabled on demand. *)
+    Per-variable attribution and range tracking are plain stores from
+    the generated code into out-array parameters indexed by a variable
+    id; per-iteration sensitivity tracking is a call into a runtime
+    callback keyed by the loop counter. All are enabled on demand. *)
 
 open Cheffp_ir
 
 exception Error of string
 
 type t
-(** A prepared analysis: generated source + compiled form + registry. *)
+(** A prepared analysis: generated source + compiled form + the names of
+    the registry ids. *)
 
 type options = {
   per_variable : bool;
@@ -63,8 +65,9 @@ val estimate_error :
   t
 (** [model] defaults to {!Model.taylor}[ ()]. [builtins] is the registry
     the analysis executes with; a fresh default registry is created if
-    omitted (the model's externals and the registry callbacks are added
-    to it). @raise Error if the function cannot be differentiated. *)
+    omitted (the model's externals, and the per-iteration callback when
+    [track_iterations] is on, are added to it). @raise Error if the
+    function cannot be differentiated. *)
 
 type report = {
   total_error : float;
@@ -91,8 +94,9 @@ type report = {
 val run : t -> Interp.arg list -> report
 (** Execute the analysis on the original function's arguments (the
     derivative and error outputs are appended automatically: array
-    derivative buffers are allocated to match input lengths). Can be
-    called repeatedly; the registry is reset on each call. *)
+    derivative buffers are allocated to match input lengths). Each call
+    records into registry arrays of its own, so calls may run
+    concurrently on different domains. *)
 
 val run_sampled :
   t -> plan:Sampling.plan -> seed:int64 -> samples:int -> Quantile.summary
@@ -100,8 +104,7 @@ val run_sampled :
     [samples] input vectors drawn from [plan] (sample [i] from
     [Rng.substream seed i], same determinism contract as
     {!Sampling.draw}) and reduces the [total_error] stream to
-    p50/p95/p99/max. Sequential — the instrumentation registry is
-    per-analysis mutable state — so cost is [samples] scalar analysis
+    p50/p95/p99/max. Sequential, so cost is [samples] scalar analysis
     runs; use {!Sampling.measured_summary} for the batched measured-error
     path. @raise Invalid_argument when [samples < 1]. *)
 

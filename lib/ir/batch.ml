@@ -313,127 +313,123 @@ let compile ?builtins ?(mode = Config.Source) ?(meter = false)
         { ev; fid = a.fid }
     | Unop (Not, _) -> fail "logical not yields an int"
     | Binop ((Add | Sub | Mul | Div) as op, a, b) -> (
-        match Typecheck.expr_kind ~builtins prog (lookup_ty sc) e with
-        | exception Typecheck.Error m -> fail "%s" m
-        | Typecheck.Escalar Builtins.Kint ->
-            fail "integer expression used as float: %s" (Pp.expr_to_string e)
-        | _ ->
-            let xa = cf a and xb = cf b in
-            let s = fresh_scratch () in
-            let fid =
-              match mode with
-              | Config.Source -> rule (Rwider (xa.fid, xb.fid))
-              | Config.Extended -> rule (Rfix Fp.F64)
-            in
-            if meter then
-              let cls =
-                match op with Div -> Cost.Division | _ -> Cost.Basic
-              in
-              let apply : float -> float -> float =
-                match op with
-                | Add -> ( +. )
-                | Sub -> ( -. )
-                | Mul -> ( *. )
-                | Div -> ( /. )
-                | _ -> assert false
-              in
-              let raw benv dst =
+        (* An int operand fails in [cf] itself, so no kind check here. *)
+        let xa = cf a and xb = cf b in
+        let s = fresh_scratch () in
+        let fid =
+          match mode with
+          | Config.Source -> rule (Rwider (xa.fid, xb.fid))
+          | Config.Extended -> rule (Rfix Fp.F64)
+        in
+        if meter then
+          let cls =
+            match op with Div -> Cost.Division | _ -> Cost.Basic
+          in
+          let apply : float -> float -> float =
+            match op with
+            | Add -> ( +. )
+            | Sub -> ( -. )
+            | Mul -> ( *. )
+            | Div -> ( /. )
+            | _ -> assert false
+          in
+          let raw benv dst =
+            let va = xa.ev benv and vb = xb.ev benv in
+            let fa = benv.efmt.(xa.fid) and fb = benv.efmt.(xb.fid) in
+            let fmts = benv.efmt.(fid) in
+            for l = 0 to benv.k - 1 do
+              let c = benv.counters.(l) in
+              Cost.Counter.charge_op c fmts.(l) cls;
+              if not (Fp.equal_format fa.(l) fb.(l)) then
+                Cost.Counter.charge_cast c;
+              dst.(l) <- apply va.(l) vb.(l)
+            done
+          in
+          rounded fid s raw
+        else
+          (* Unmetered hot path: one specialised unboxed loop per
+             operator, rounding fused into the store. *)
+          let ev =
+            match (op, mode) with
+            | Add, Config.Source -> fun benv ->
                 let va = xa.ev benv and vb = xb.ev benv in
-                let fa = benv.efmt.(xa.fid) and fb = benv.efmt.(xb.fid) in
+                let dst = benv.scratch.(s) in
                 let fmts = benv.efmt.(fid) in
                 for l = 0 to benv.k - 1 do
-                  let c = benv.counters.(l) in
-                  Cost.Counter.charge_op c fmts.(l) cls;
-                  if not (Fp.equal_format fa.(l) fb.(l)) then
-                    Cost.Counter.charge_cast c;
-                  dst.(l) <- apply va.(l) vb.(l)
-                done
-              in
-              rounded fid s raw
-            else
-              (* Unmetered hot path: one specialised unboxed loop per
-                 operator, rounding fused into the store. *)
-              let ev =
-                match (op, mode) with
-                | Add, Config.Source -> fun benv ->
-                    let va = xa.ev benv and vb = xb.ev benv in
-                    let dst = benv.scratch.(s) in
-                    let fmts = benv.efmt.(fid) in
-                    for l = 0 to benv.k - 1 do
-                      dst.(l) <-
-                        (match fmts.(l) with
-                        | Fp.F64 -> va.(l) +. vb.(l)
-                        | Fp.F32 -> r32 (va.(l) +. vb.(l))
-                        | Fp.F16 -> r16 (va.(l) +. vb.(l)))
-                    done;
-                    dst
-                | Sub, Config.Source -> fun benv ->
-                    let va = xa.ev benv and vb = xb.ev benv in
-                    let dst = benv.scratch.(s) in
-                    let fmts = benv.efmt.(fid) in
-                    for l = 0 to benv.k - 1 do
-                      dst.(l) <-
-                        (match fmts.(l) with
-                        | Fp.F64 -> va.(l) -. vb.(l)
-                        | Fp.F32 -> r32 (va.(l) -. vb.(l))
-                        | Fp.F16 -> r16 (va.(l) -. vb.(l)))
-                    done;
-                    dst
-                | Mul, Config.Source -> fun benv ->
-                    let va = xa.ev benv and vb = xb.ev benv in
-                    let dst = benv.scratch.(s) in
-                    let fmts = benv.efmt.(fid) in
-                    for l = 0 to benv.k - 1 do
-                      dst.(l) <-
-                        (match fmts.(l) with
-                        | Fp.F64 -> va.(l) *. vb.(l)
-                        | Fp.F32 -> r32 (va.(l) *. vb.(l))
-                        | Fp.F16 -> r16 (va.(l) *. vb.(l)))
-                    done;
-                    dst
-                | Div, Config.Source -> fun benv ->
-                    let va = xa.ev benv and vb = xb.ev benv in
-                    let dst = benv.scratch.(s) in
-                    let fmts = benv.efmt.(fid) in
-                    for l = 0 to benv.k - 1 do
-                      dst.(l) <-
-                        (match fmts.(l) with
-                        | Fp.F64 -> va.(l) /. vb.(l)
-                        | Fp.F32 -> r32 (va.(l) /. vb.(l))
-                        | Fp.F16 -> r16 (va.(l) /. vb.(l)))
-                    done;
-                    dst
-                | Add, Config.Extended -> fun benv ->
-                    let va = xa.ev benv and vb = xb.ev benv in
-                    let dst = benv.scratch.(s) in
-                    for l = 0 to benv.k - 1 do
-                      dst.(l) <- va.(l) +. vb.(l)
-                    done;
-                    dst
-                | Sub, Config.Extended -> fun benv ->
-                    let va = xa.ev benv and vb = xb.ev benv in
-                    let dst = benv.scratch.(s) in
-                    for l = 0 to benv.k - 1 do
-                      dst.(l) <- va.(l) -. vb.(l)
-                    done;
-                    dst
-                | Mul, Config.Extended -> fun benv ->
-                    let va = xa.ev benv and vb = xb.ev benv in
-                    let dst = benv.scratch.(s) in
-                    for l = 0 to benv.k - 1 do
-                      dst.(l) <- va.(l) *. vb.(l)
-                    done;
-                    dst
-                | Div, Config.Extended -> fun benv ->
-                    let va = xa.ev benv and vb = xb.ev benv in
-                    let dst = benv.scratch.(s) in
-                    for l = 0 to benv.k - 1 do
-                      dst.(l) <- va.(l) /. vb.(l)
-                    done;
-                    dst
-                | _ -> assert false
-              in
-              { ev; fid })
+                  dst.(l) <-
+                    (match fmts.(l) with
+                    | Fp.F64 -> va.(l) +. vb.(l)
+                    | Fp.F32 -> r32 (va.(l) +. vb.(l))
+                    | Fp.F16 -> r16 (va.(l) +. vb.(l)))
+                done;
+                dst
+            | Sub, Config.Source -> fun benv ->
+                let va = xa.ev benv and vb = xb.ev benv in
+                let dst = benv.scratch.(s) in
+                let fmts = benv.efmt.(fid) in
+                for l = 0 to benv.k - 1 do
+                  dst.(l) <-
+                    (match fmts.(l) with
+                    | Fp.F64 -> va.(l) -. vb.(l)
+                    | Fp.F32 -> r32 (va.(l) -. vb.(l))
+                    | Fp.F16 -> r16 (va.(l) -. vb.(l)))
+                done;
+                dst
+            | Mul, Config.Source -> fun benv ->
+                let va = xa.ev benv and vb = xb.ev benv in
+                let dst = benv.scratch.(s) in
+                let fmts = benv.efmt.(fid) in
+                for l = 0 to benv.k - 1 do
+                  dst.(l) <-
+                    (match fmts.(l) with
+                    | Fp.F64 -> va.(l) *. vb.(l)
+                    | Fp.F32 -> r32 (va.(l) *. vb.(l))
+                    | Fp.F16 -> r16 (va.(l) *. vb.(l)))
+                done;
+                dst
+            | Div, Config.Source -> fun benv ->
+                let va = xa.ev benv and vb = xb.ev benv in
+                let dst = benv.scratch.(s) in
+                let fmts = benv.efmt.(fid) in
+                for l = 0 to benv.k - 1 do
+                  dst.(l) <-
+                    (match fmts.(l) with
+                    | Fp.F64 -> va.(l) /. vb.(l)
+                    | Fp.F32 -> r32 (va.(l) /. vb.(l))
+                    | Fp.F16 -> r16 (va.(l) /. vb.(l)))
+                done;
+                dst
+            | Add, Config.Extended -> fun benv ->
+                let va = xa.ev benv and vb = xb.ev benv in
+                let dst = benv.scratch.(s) in
+                for l = 0 to benv.k - 1 do
+                  dst.(l) <- va.(l) +. vb.(l)
+                done;
+                dst
+            | Sub, Config.Extended -> fun benv ->
+                let va = xa.ev benv and vb = xb.ev benv in
+                let dst = benv.scratch.(s) in
+                for l = 0 to benv.k - 1 do
+                  dst.(l) <- va.(l) -. vb.(l)
+                done;
+                dst
+            | Mul, Config.Extended -> fun benv ->
+                let va = xa.ev benv and vb = xb.ev benv in
+                let dst = benv.scratch.(s) in
+                for l = 0 to benv.k - 1 do
+                  dst.(l) <- va.(l) *. vb.(l)
+                done;
+                dst
+            | Div, Config.Extended -> fun benv ->
+                let va = xa.ev benv and vb = xb.ev benv in
+                let dst = benv.scratch.(s) in
+                for l = 0 to benv.k - 1 do
+                  dst.(l) <- va.(l) /. vb.(l)
+                done;
+                dst
+            | _ -> assert false
+          in
+          { ev; fid })
     | Binop _ ->
         fail "integer expression used as float: %s" (Pp.expr_to_string e)
     | Call (name, args) -> (
@@ -445,6 +441,8 @@ let compile ?builtins ?(mode = Config.Source) ?(meter = false)
             compile_call name sg impl args)
 
   and compile_call name sg impl args : fex =
+    if List.compare_lengths sg.Builtins.args args <> 0 then
+      fail "intrinsic %S expects %d arguments" name (List.length sg.Builtins.args);
     let compiled =
       List.map2
         (fun k arg ->

@@ -69,6 +69,88 @@ type t = {
 
 (* ------------------------------------------------------------------ *)
 
+(* Shape of a float operand. *)
+type leaf = Slot of int | Const of float | Other of (env -> float)
+
+(* One closure per (operator, left shape, right shape): slot and literal
+   operands are read inside the operator's closure, so only its result
+   is boxed. Written out case by case because a shared combinator
+   would box the operands again. *)
+let arith op la lb : env -> float =
+  match (op, la, lb) with
+  | Add, Slot i, Slot j -> fun env -> env.fl.(i) +. env.fl.(j)
+  | Add, Slot i, Const y -> fun env -> env.fl.(i) +. y
+  | Add, Slot i, Other g -> fun env -> env.fl.(i) +. g env
+  | Add, Const x, Slot j -> fun env -> x +. env.fl.(j)
+  | Add, Const x, Const y -> fun _ -> x +. y
+  | Add, Const x, Other g -> fun env -> x +. g env
+  | Add, Other f, Slot j -> fun env -> f env +. env.fl.(j)
+  | Add, Other f, Const y -> fun env -> f env +. y
+  | Add, Other f, Other g -> fun env -> f env +. g env
+  | Sub, Slot i, Slot j -> fun env -> env.fl.(i) -. env.fl.(j)
+  | Sub, Slot i, Const y -> fun env -> env.fl.(i) -. y
+  | Sub, Slot i, Other g -> fun env -> env.fl.(i) -. g env
+  | Sub, Const x, Slot j -> fun env -> x -. env.fl.(j)
+  | Sub, Const x, Const y -> fun _ -> x -. y
+  | Sub, Const x, Other g -> fun env -> x -. g env
+  | Sub, Other f, Slot j -> fun env -> f env -. env.fl.(j)
+  | Sub, Other f, Const y -> fun env -> f env -. y
+  | Sub, Other f, Other g -> fun env -> f env -. g env
+  | Mul, Slot i, Slot j -> fun env -> env.fl.(i) *. env.fl.(j)
+  | Mul, Slot i, Const y -> fun env -> env.fl.(i) *. y
+  | Mul, Slot i, Other g -> fun env -> env.fl.(i) *. g env
+  | Mul, Const x, Slot j -> fun env -> x *. env.fl.(j)
+  | Mul, Const x, Const y -> fun _ -> x *. y
+  | Mul, Const x, Other g -> fun env -> x *. g env
+  | Mul, Other f, Slot j -> fun env -> f env *. env.fl.(j)
+  | Mul, Other f, Const y -> fun env -> f env *. y
+  | Mul, Other f, Other g -> fun env -> f env *. g env
+  | Div, Slot i, Slot j -> fun env -> env.fl.(i) /. env.fl.(j)
+  | Div, Slot i, Const y -> fun env -> env.fl.(i) /. y
+  | Div, Slot i, Other g -> fun env -> env.fl.(i) /. g env
+  | Div, Const x, Slot j -> fun env -> x /. env.fl.(j)
+  | Div, Const x, Const y -> fun _ -> x /. y
+  | Div, Const x, Other g -> fun env -> x /. g env
+  | Div, Other f, Slot j -> fun env -> f env /. env.fl.(j)
+  | Div, Other f, Const y -> fun env -> f env /. y
+  | Div, Other f, Other g -> fun env -> f env /. g env
+  | _ -> assert false
+
+let eval = function
+  | Slot i -> fun env -> env.fl.(i)
+  | Const x -> fun _ -> x
+  | Other g -> g
+
+(* Float comparisons read slot operands in place too (a literal is
+   already boxed, so it stays a closure). *)
+let compare_floats op la lb : env -> int =
+  match (op, la, lb) with
+  | Eq, Slot i, Slot j -> fun env -> if env.fl.(i) = env.fl.(j) then 1 else 0
+  | Eq, Slot i, _ -> let g = eval lb in fun env -> if env.fl.(i) = g env then 1 else 0
+  | Eq, _, Slot j -> let f = eval la in fun env -> if f env = env.fl.(j) then 1 else 0
+  | Eq, _, _ -> let f = eval la and g = eval lb in fun env -> if f env = g env then 1 else 0
+  | Ne, Slot i, Slot j -> fun env -> if env.fl.(i) <> env.fl.(j) then 1 else 0
+  | Ne, Slot i, _ -> let g = eval lb in fun env -> if env.fl.(i) <> g env then 1 else 0
+  | Ne, _, Slot j -> let f = eval la in fun env -> if f env <> env.fl.(j) then 1 else 0
+  | Ne, _, _ -> let f = eval la and g = eval lb in fun env -> if f env <> g env then 1 else 0
+  | Lt, Slot i, Slot j -> fun env -> if env.fl.(i) < env.fl.(j) then 1 else 0
+  | Lt, Slot i, _ -> let g = eval lb in fun env -> if env.fl.(i) < g env then 1 else 0
+  | Lt, _, Slot j -> let f = eval la in fun env -> if f env < env.fl.(j) then 1 else 0
+  | Lt, _, _ -> let f = eval la and g = eval lb in fun env -> if f env < g env then 1 else 0
+  | Le, Slot i, Slot j -> fun env -> if env.fl.(i) <= env.fl.(j) then 1 else 0
+  | Le, Slot i, _ -> let g = eval lb in fun env -> if env.fl.(i) <= g env then 1 else 0
+  | Le, _, Slot j -> let f = eval la in fun env -> if f env <= env.fl.(j) then 1 else 0
+  | Le, _, _ -> let f = eval la and g = eval lb in fun env -> if f env <= g env then 1 else 0
+  | Gt, Slot i, Slot j -> fun env -> if env.fl.(i) > env.fl.(j) then 1 else 0
+  | Gt, Slot i, _ -> let g = eval lb in fun env -> if env.fl.(i) > g env then 1 else 0
+  | Gt, _, Slot j -> let f = eval la in fun env -> if f env > env.fl.(j) then 1 else 0
+  | Gt, _, _ -> let f = eval la and g = eval lb in fun env -> if f env > g env then 1 else 0
+  | Ge, Slot i, Slot j -> fun env -> if env.fl.(i) >= env.fl.(j) then 1 else 0
+  | Ge, Slot i, _ -> let g = eval lb in fun env -> if env.fl.(i) >= g env then 1 else 0
+  | Ge, _, Slot j -> let f = eval la in fun env -> if f env >= env.fl.(j) then 1 else 0
+  | Ge, _, _ -> let f = eval la and g = eval lb in fun env -> if f env >= g env then 1 else 0
+  | _ -> assert false
+
 let compile ?builtins ?(config = Config.double) ?(mode = Config.Source)
     ?counter ?(meter = counter <> None) ?(optimize = true) ~prog ~func () =
   let builtins =
@@ -141,40 +223,28 @@ let compile ?builtins ?(config = Config.double) ?(mode = Config.Source)
         (with_charge (charge_op fmt' Cost.Basic) (fun env -> -.(g env)), fmt)
     | Unop (Not, _) -> fail "logical not yields an int"
     | Binop ((Add | Sub | Mul | Div) as op, a, b) -> (
-        match (Typecheck.expr_kind ~builtins prog (lookup_ty sc) e) with
-        | exception Typecheck.Error m -> fail "%s" m
-        | Typecheck.Escalar Builtins.Kint ->
-            fail "integer expression used as float: %s" (Pp.expr_to_string e)
-        | _ ->
-            let ga, fa = cf a in
-            let gb, fb = cf b in
-            let fmt = wider fa fb in
-            let cls = match op with Div -> Cost.Division | _ -> Cost.Basic in
-            let raw : env -> float =
-              match op with
-              | Add -> fun env -> ga env +. gb env
-              | Sub -> fun env -> ga env -. gb env
-              | Mul -> fun env -> ga env *. gb env
-              | Div -> fun env -> ga env /. gb env
-              | _ -> assert false
-            in
-            let cast_charge =
-              if Fp.equal_format fa fb then None else charge_cast ()
-            in
-            let raw =
-              match cast_charge with
-              | None -> raw
-              | Some ch -> fun env -> (ch env; raw env)
-            in
-            (match mode with
-            | Config.Source ->
-                let k = with_charge (charge_op fmt cls) raw in
-                if Fp.equal_format fmt Fp.F64 then (k, fmt)
-                else
-                  let rnd = Fp.round fmt in
-                  ((fun env -> rnd (k env)), fmt)
-            | Config.Extended ->
-                (with_charge (charge_op Fp.F64 cls) raw, Fp.F64)))
+        (* An int operand fails in [cf] itself, so no kind check here. *)
+        let la, fa = leaf a in
+        let lb, fb = leaf b in
+        let fmt = wider fa fb in
+        let cls = match op with Div -> Cost.Division | _ -> Cost.Basic in
+        let raw = arith op la lb in
+        let cast_charge =
+          if Fp.equal_format fa fb then None else charge_cast ()
+        in
+        let raw =
+          match cast_charge with
+          | None -> raw
+          | Some ch -> fun env -> (ch env; raw env)
+        in
+        match mode with
+        | Config.Source ->
+            let k = with_charge (charge_op fmt cls) raw in
+            if Fp.equal_format fmt Fp.F64 then (k, fmt)
+            else
+              let rnd = Fp.round fmt in
+              ((fun env -> rnd (k env)), fmt)
+        | Config.Extended -> (with_charge (charge_op Fp.F64 cls) raw, Fp.F64))
     | Binop _ -> fail "integer expression used as float: %s" (Pp.expr_to_string e)
     | Call (name, args) -> (
         match Builtins.find builtins name with
@@ -184,7 +254,21 @@ let compile ?builtins ?(config = Config.double) ?(mode = Config.Source)
               fail "intrinsic %S yields an int, used as float" name;
             compile_call name sg impl args)
 
+  (* Float operand of an operator or a store: a float slot or a literal
+     is read in place by the consumer's closure, anything else through
+     its own compiled closure. *)
+  and leaf e : leaf * Fp.format =
+    match e with
+    | Fconst x -> (Const x, Fp.F64)
+    | Var v -> (
+        match scope_find sc v with
+        | Bf (slot, fmt) -> (Slot slot, fmt)
+        | _ -> let g, fmt = cf e in (Other g, fmt))
+    | _ -> let g, fmt = cf e in (Other g, fmt)
+
   and compile_call name sg impl args : (env -> float) * Fp.format =
+    if List.compare_lengths sg.Builtins.args args <> 0 then
+      fail "intrinsic %S expects %d arguments" name (List.length sg.Builtins.args);
     let compiled =
       List.map2
         (fun k arg ->
@@ -287,16 +371,7 @@ let compile ?builtins ?(config = Config.double) ?(mode = Config.Source)
             | Gt -> fun env -> if ga env > gb env then 1 else 0
             | Ge -> fun env -> if ga env >= gb env then 1 else 0
             | _ -> assert false)
-        | _ -> (
-            let ga, _ = cf a and gb, _ = cf b in
-            match op with
-            | Eq -> fun env -> if ga env = gb env then 1 else 0
-            | Ne -> fun env -> if ga env <> gb env then 1 else 0
-            | Lt -> fun env -> if ga env < gb env then 1 else 0
-            | Le -> fun env -> if ga env <= gb env then 1 else 0
-            | Gt -> fun env -> if ga env > gb env then 1 else 0
-            | Ge -> fun env -> if ga env >= gb env then 1 else 0
-            | _ -> assert false))
+        | _ -> compare_floats op (fst (leaf a)) (fst (leaf b)))
     | Call (name, args) -> (
         match Builtins.find builtins name with
         | None -> fail "user call %S survived inlining" name
@@ -334,31 +409,40 @@ let compile ?builtins ?(config = Config.double) ?(mode = Config.Source)
     go sc.frames
   in
 
-  (* Store into a float slot with static rounding. *)
-  let store_float slot fmt (g, gfmt) : env -> unit =
-    let cast_needed = not (Fp.equal_format gfmt fmt) in
-    let g =
-      match (cast_needed, charge_cast ()) with
-      | true, Some ch -> fun env -> (ch env; g env)
-      | _, _ -> g
-    in
-    if Fp.equal_format fmt Fp.F64 then fun env -> env.fl.(slot) <- g env
-    else
-      let rnd = Fp.round fmt in
-      fun env -> env.fl.(slot) <- rnd (g env)
+  (* Store into a float slot with static rounding. A binary64 slot
+     copied into a binary64 location needs neither cast nor rounding,
+     and is read in place. *)
+  let plain_copy fmt gfmt =
+    Fp.equal_format fmt Fp.F64 && Fp.equal_format gfmt Fp.F64
   in
-  let store_farr slot fmt gi (g, gfmt) : env -> unit =
-    let cast_needed = not (Fp.equal_format gfmt fmt) in
-    let g =
-      match (cast_needed, charge_cast ()) with
-      | true, Some ch -> fun env -> (ch env; g env)
-      | _, _ -> g
-    in
-    if Fp.equal_format fmt Fp.F64 then
-      fun env -> env.fa.(slot).(gi env) <- g env
-    else
-      let rnd = Fp.round fmt in
-      fun env -> env.fa.(slot).(gi env) <- rnd (g env)
+  let stored fmt l gfmt : env -> float =
+    let g = eval l in
+    match (Fp.equal_format gfmt fmt, charge_cast ()) with
+    | false, Some ch -> fun env -> (ch env; g env)
+    | _, _ -> g
+  in
+  let store_float slot fmt e : env -> unit =
+    match leaf e with
+    | Slot src, gfmt when plain_copy fmt gfmt ->
+        fun env -> env.fl.(slot) <- env.fl.(src)
+    | l, gfmt ->
+        let g = stored fmt l gfmt in
+        if Fp.equal_format fmt Fp.F64 then fun env -> env.fl.(slot) <- g env
+        else
+          let rnd = Fp.round fmt in
+          fun env -> env.fl.(slot) <- rnd (g env)
+  in
+  let store_farr slot fmt gi e : env -> unit =
+    match leaf e with
+    | Slot src, gfmt when plain_copy fmt gfmt ->
+        fun env -> env.fa.(slot).(gi env) <- env.fl.(src)
+    | l, gfmt ->
+        let g = stored fmt l gfmt in
+        if Fp.equal_format fmt Fp.F64 then
+          fun env -> env.fa.(slot).(gi env) <- g env
+        else
+          let rnd = Fp.round fmt in
+          fun env -> env.fa.(slot).(gi env) <- rnd (g env)
   in
 
   let rec cstmt s : env -> unit =
@@ -377,7 +461,7 @@ let compile ?builtins ?(config = Config.double) ?(mode = Config.Source)
         scope_declare sc name (Bf (slot, fmt));
         match init with
         | None -> fun env -> env.fl.(slot) <- 0.
-        | Some e -> store_float slot fmt (cf e))
+        | Some e -> store_float slot fmt e)
     | Decl { name; dty = Darr (Sint, size); init = _ } ->
         let gn = ci size in
         let slot = fresh_ia () in
@@ -391,7 +475,7 @@ let compile ?builtins ?(config = Config.double) ?(mode = Config.Source)
         fun env -> env.fa.(slot) <- Array.make (gn env) 0.
     | Assign (Lvar v, e) -> (
         match scope_find sc v with
-        | Bf (slot, fmt) -> store_float slot fmt (cf e)
+        | Bf (slot, fmt) -> store_float slot fmt e
         | Bi slot ->
             let g = ci e in
             fun env -> env.it.(slot) <- g env
@@ -399,7 +483,7 @@ let compile ?builtins ?(config = Config.double) ?(mode = Config.Source)
     | Assign (Lidx (a, ie), e) -> (
         let gi = ci ie in
         match scope_find sc a with
-        | Bfa (slot, fmt) -> store_farr slot fmt gi (cf e)
+        | Bfa (slot, fmt) -> store_farr slot fmt gi e
         | Bia slot ->
             let g = ci e in
             fun env -> env.ia.(slot).(gi env) <- g env

@@ -177,8 +177,16 @@ let rec prop_stmts ~fast_math ~opaque env stmts =
             | _ ->
                 let _, t = prop_stmts env t in
                 let _, e = prop_stmts env e in
-                (* Conservative join: drop all facts. *)
-                (Smap.empty, If (c, t, e)))
+                (* Conservative join: drop all facts, unless the branches
+                   only store array elements (the estimator's range
+                   tracking), which invalidates just the facts that
+                   mention the stored arrays. *)
+                let rec join env = function
+                  | [] -> env
+                  | Assign (Lidx (a, _), _) :: rest -> join (kill env a) rest
+                  | _ -> Smap.empty
+                in
+                (join env (t @ e), If (c, t, e)))
         | For ({ lo; hi; body; _ } as l) ->
             let lo = fold_expr ~fast_math (prop_expr env lo) in
             let hi = fold_expr ~fast_math (prop_expr env hi) in

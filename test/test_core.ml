@@ -227,6 +227,105 @@ let test_generated_function_exposed () =
   Alcotest.(check bool) "program contains it" true
     (Ast.find_func (E.program est) "func1_grad" <> None)
 
+(* Every report field, floats by their bits. *)
+let report_bits (r : E.report) =
+  let f x = Printf.sprintf "%h" x in
+  let pairs l = String.concat " " (List.map (fun (n, x) -> n ^ "=" ^ f x) l) in
+  String.concat "\n"
+    [
+      f r.E.total_error;
+      pairs r.E.gradients;
+      String.concat " "
+        (List.map
+           (fun (n, a) -> n ^ "=" ^ String.concat "," (Array.to_list (Array.map f a)))
+           r.E.array_gradients);
+      pairs r.E.per_variable;
+      String.concat " "
+        (List.map
+           (fun (n, l) ->
+             n ^ ":" ^ String.concat "," (List.map (fun (i, x) -> Printf.sprintf "%d=%s" i (f x)) l))
+           r.E.per_iteration);
+      String.concat " "
+        (List.map (fun (n, (lo, hi)) -> Printf.sprintf "%s=%s..%s" n (f lo) (f hi)) r.E.ranges);
+      string_of_int r.E.stack_peak_bytes;
+      string_of_int r.E.analysis_bytes;
+    ]
+
+(* One estimate run on two domains at once: each run records into its
+   own registry, so every report equals the sequential one. *)
+let test_concurrent_runs () =
+  let prog = Parser.parse_program loopy_src in
+  List.iter
+    (fun options ->
+      let est = E.estimate_error ~model:(Model.adapt ()) ~options ~prog ~func:"acc" () in
+      let args k = [ Interp.Aflt (0.3 +. float_of_int k); Interp.Aint (20 + (7 * k)) ] in
+      let expected = Array.init 2 (fun k -> report_bits (E.run est (args k))) in
+      let worker k () = List.init 200 (fun _ -> report_bits (E.run est (args k))) in
+      let domains = Array.init 2 (fun k -> Domain.spawn (worker k)) in
+      Array.iteri
+        (fun k d ->
+          List.iter
+            (Alcotest.(check string) "concurrent report = sequential" expected.(k))
+            (Domain.join d))
+        domains)
+    [
+      { E.default_options with E.track_ranges = true };
+      { E.default_options with E.track_ranges = true; E.track_iterations = `Loop "i" };
+    ]
+
+(* The five paper kernels at small sizes, at the `cheffp analyze`
+   options: attribution and range tracking are plain stores in the
+   generated code, and the compiled analysis records the same
+   per-variable errors and ranges as the reference interpreter. *)
+let test_paper_kernels_registry_lowered () =
+  let module B = Cheffp_benchmarks in
+  let kernels =
+    [
+      (B.Arclength.source, B.Arclength.func_name, B.Arclength.args ~n:200);
+      (B.Simpsons.source, B.Simpsons.func_name, B.Simpsons.args ~a:0. ~b:Float.pi ~n:200);
+      (B.Kmeans.source, B.Kmeans.func_name,
+       B.Kmeans.args (B.Kmeans.generate ~seed:1L ~npoints:40 ()));
+      (B.Hpccg.source, B.Hpccg.func_name,
+       B.Hpccg.args (B.Hpccg.generate ~nx:4 ~ny:4 ~nz:3 ~max_iter:3 ()));
+      (B.Blackscholes.source B.Blackscholes.Exact, B.Blackscholes.func_name,
+       B.Blackscholes.args (B.Blackscholes.generate ~seed:1L ~n:16 ()));
+    ]
+  in
+  let rec calls_in_expr acc = function
+    | Ast.Call (n, args) -> List.fold_left calls_in_expr (n :: acc) args
+    | Ast.Idx (_, e) | Ast.Unop (_, e) -> calls_in_expr acc e
+    | Ast.Binop (_, a, b) -> calls_in_expr (calls_in_expr acc a) b
+    | Ast.Fconst _ | Ast.Iconst _ | Ast.Var _ -> acc
+  in
+  let rec calls acc = function
+    | Ast.Call_stmt (n, args) -> List.fold_left calls_in_expr (n :: acc) args
+    | Ast.If (c, t, e) -> List.fold_left calls (List.fold_left calls (calls_in_expr acc c) t) e
+    | Ast.For { body; _ } | Ast.While (_, body) -> List.fold_left calls acc body
+    | Ast.Decl { init = Some e; _ } | Ast.Assign (_, e) | Ast.Return (Some e) ->
+        calls_in_expr acc e
+    | Ast.Decl _ | Ast.Return None | Ast.Push _ | Ast.Pop _ -> acc
+  in
+  List.iter
+    (fun (src, func, args) ->
+      let prog = Parser.parse_program src in
+      let est =
+        E.estimate_error ~model:(Model.adapt ())
+          ~options:{ E.default_options with E.track_ranges = true }
+          ~prog ~func ()
+      in
+      let names = List.fold_left calls [] (E.generated est).Ast.body in
+      Alcotest.(check bool) (func ^ ": no registry calls") false
+        (List.exists (fun n -> n = "__chef_reg" || n = "__chef_range") names);
+      let copy = List.map (function
+        | Interp.Afarr a -> Interp.Afarr (Array.copy a)
+        | Interp.Aiarr a -> Interp.Aiarr (Array.copy a)
+        | a -> a) in
+      let c = E.run est (copy args) and i = E.run_interpreted est (copy args) in
+      Alcotest.(check bool) (func ^ ": variables recorded") true (c.E.per_variable <> []);
+      Alcotest.(check string) (func ^ ": compiled = interpreted") (report_bits i)
+        (report_bits c))
+    kernels
+
 (* ------------------------------------------------------------------ *)
 (* Tuner                                                              *)
 
@@ -645,6 +744,9 @@ let () =
             test_memory_accounting_positive;
           Alcotest.test_case "generated exposed" `Quick
             test_generated_function_exposed;
+          Alcotest.test_case "concurrent runs" `Quick test_concurrent_runs;
+          Alcotest.test_case "paper kernels: registry lowered" `Quick
+            test_paper_kernels_registry_lowered;
         ] );
       ( "tuner",
         [

@@ -603,6 +603,39 @@ let test_optimize_constant_branch () =
   Alcotest.(check bool) "branch pruned" true
     (List.for_all (function Ast.If _ -> false | _ -> true) f'.Ast.body)
 
+(* Copy propagation keeps its facts across an [if] whose branches only
+   store array elements, and drops them across any other [if]. *)
+let test_optimize_store_only_branch () =
+  let forwarded src =
+    let prog = Parser.parse_program src in
+    let f' = Optimize.optimize_func (Ast.func_exn prog "f") in
+    let prog' = { Ast.funcs = [ f' ] } in
+    Typecheck.check_program prog';
+    List.iter
+      (fun x ->
+        let a () = [ Interp.Aflt x; Interp.Afarr [| 0.; 5. |] ] in
+        check_float "same value"
+          (Interp.run_float ~prog ~func:"f" (a ()))
+          (Interp.run_float ~prog:prog' ~func:"f" (a ())))
+      [ 0.5; 2.0 ];
+    not (List.exists (function Ast.Decl { name = "k"; _ } -> true | _ -> false) f'.Ast.body)
+  in
+  Alcotest.(check bool) "fact survives a store-only if" true
+    (forwarded
+       {|func f(x: f64, a: f64[]): f64 {
+           var k: f64 = 3.0;
+           if (x < a[1]) { a[0] = x; }
+           return k * x + a[0];
+         }|});
+  Alcotest.(check bool) "fact dropped by a scalar store" false
+    (forwarded
+       {|func f(x: f64, a: f64[]): f64 {
+           var k: f64 = 3.0;
+           var y: f64 = 0.0;
+           if (x < a[1]) { y = x; }
+           return k * x + y;
+         }|})
+
 let test_cse_hoists_duplicates () =
   let src =
     {|func f(x: f64): f64 {
@@ -828,6 +861,114 @@ let test_compile_counter_matches_interp_counter () =
   in
   Alcotest.(check (float 1e-9)) "same modelled cost" ti tc;
   Alcotest.(check int) "same casts" ci cc
+
+(* Leaf-shape matrix: the compiler reads a float slot or a literal
+   operand inside the operator's closure. Every arithmetic operator and
+   float comparison with each operand shape (slot, literal, nested
+   expression) must agree with the interpreter bit for bit, and metered
+   runs must charge the same ops and casts. *)
+let leaf_shapes =
+  [
+    ("slot", fun v -> Ast.Var v);
+    ("const", fun _ -> Ast.Fconst 0.3);
+    ("nested", fun v -> Ast.Binop (Ast.Mul, Ast.Var v, Ast.Fconst 1.7));
+  ]
+
+let test_compile_leaf_shapes () =
+  let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+  let ret (r : Interp.result) =
+    match r.Interp.ret with Some (Builtins.F x) -> x | _ -> Float.nan
+  in
+  let demote_a = Config.demote Config.double "a" Fp.F32 in
+  let setups =
+    [
+      ("double", Config.double, Config.Source);
+      ("a:f32", demote_a, Config.Source);
+      ("a,b:f32", Config.demote demote_a "b" Fp.F32, Config.Source);
+      ("a:f32 extended", demote_a, Config.Extended);
+    ]
+  in
+  let inputs = [ (0.1, 3.7); (-2.5, 1e-3); (1e10, -7.0); (0.3, 0.3); (Float.nan, 2.0) ] in
+  List.iter
+    (fun (oname, op) ->
+      List.iter
+        (fun (lname, left) ->
+          List.iter
+            (fun (rname, right) ->
+              let e = Ast.Binop (op, left "a", right "b") in
+              let result =
+                match op with
+                | Ast.Add | Ast.Sub | Ast.Mul | Ast.Div -> Ast.[ Return (Some e) ]
+                | _ ->
+                    Ast.
+                      [
+                        Decl { name = "r"; dty = Dscalar (Sflt Fp.F64); init = Some (Fconst 0.) };
+                        If (e, [ Assign (Lvar "r", Fconst 1.) ], []);
+                        Return (Some (Var "r"));
+                      ]
+              in
+              let body =
+                Ast.
+                  [
+                    Decl { name = "a"; dty = Dscalar (Sflt Fp.F64); init = Some (Var "x") };
+                    Decl { name = "b"; dty = Dscalar (Sflt Fp.F64); init = Some (Var "y") };
+                  ]
+                @ result
+              in
+              let param n = Ast.{ pname = n; pty = Tscalar (Sflt Fp.F64); pmode = In } in
+              let prog =
+                Ast.{ funcs = [ { fname = "f"; params = [ param "x"; param "y" ];
+                                  ret = Some (Sflt Fp.F64); body } ] }
+              in
+              List.iter
+                (fun (cname, config, mode) ->
+                  let label = Printf.sprintf "%s %s %s, %s" lname oname rname cname in
+                  let plain = Compile.compile ~config ~mode ~optimize:false ~prog ~func:"f" () in
+                  let metered =
+                    Compile.compile ~config ~mode ~meter:true ~optimize:false ~prog ~func:"f" ()
+                  in
+                  List.iter
+                    (fun (x, y) ->
+                      let args = [ Interp.Aflt x; Interp.Aflt y ] in
+                      let ci = Cost.Counter.create Cost.default in
+                      let expect = ret (Interp.run ~config ~mode ~counter:ci ~prog ~func:"f" args) in
+                      let cc = Cost.Counter.create Cost.default in
+                      let got_m = ret (Compile.run ~counter:cc metered args) in
+                      let got = ret (Compile.run plain args) in
+                      Alcotest.(check bool) (label ^ ": value") true
+                        (same expect got && same expect got_m);
+                      Alcotest.(check int) (label ^ ": ops") (Cost.Counter.ops ci)
+                        (Cost.Counter.ops cc);
+                      Alcotest.(check int) (label ^ ": casts") (Cost.Counter.casts ci)
+                        (Cost.Counter.casts cc))
+                    inputs)
+                setups)
+            leaf_shapes)
+        leaf_shapes)
+    Ast.
+      [
+        ("+", Add); ("-", Sub); ("*", Mul); ("/", Div);
+        ("==", Eq); ("!=", Ne); ("<", Lt); ("<=", Le); (">", Gt); (">=", Ge);
+      ]
+
+(* An int-typed operand in float position is rejected by both the scalar
+   and the lane compiler, without a type check of the whole operator. *)
+let test_int_binop_in_float_position () =
+  List.iter
+    (fun src ->
+      let prog = Parser.parse_program src in
+      Alcotest.(check bool) ("Compile rejects " ^ src) true
+        (try ignore (Compile.compile ~optimize:false ~prog ~func:"f" ()); false
+         with Compile.Compile_error _ -> true);
+      Alcotest.(check bool) ("Batch rejects " ^ src) true
+        (try ignore (Batch.compile ~optimize:false ~prog ~func:"f" ()); false
+         with Compile.Compile_error _ -> true))
+    [
+      "func f(x: f64, n: int): f64 { var y: f64 = x + n; return y; }";
+      "func f(x: f64, n: int): f64 { var y: f64 = 2.0 * (n + 1); return y; }";
+      "func f(x: f64, n: int): f64 { var y: f64 = n - n; return y; }";
+      "func f(x: f64, n: int): f64 { var y: f64 = x / (n < 3); return y; }";
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Compile cache                                                      *)
@@ -1131,6 +1272,8 @@ let () =
             test_optimize_keeps_out_params_and_pushpop;
           Alcotest.test_case "constant branches" `Quick
             test_optimize_constant_branch;
+          Alcotest.test_case "store-only branch keeps facts" `Quick
+            test_optimize_store_only_branch;
           Alcotest.test_case "cse hoists duplicates" `Quick
             test_cse_hoists_duplicates;
           Alcotest.test_case "cse cross-statement" `Quick
@@ -1153,6 +1296,10 @@ let () =
             test_compile_benchmarks_match;
           Alcotest.test_case "cost counters agree" `Quick
             test_compile_counter_matches_interp_counter;
+          Alcotest.test_case "leaf shapes match interp" `Quick
+            test_compile_leaf_shapes;
+          Alcotest.test_case "int binop in float position" `Quick
+            test_int_binop_in_float_position;
         ] );
       ( "compile-cache",
         [

@@ -10,7 +10,8 @@
      ids: table1 table2 table3 table4 fig4 fig5 fig6 fig7 fig8 fig9
           ablation-inline ablation-opt ablation-precision ablation-activity
           ablation-search perf-search smoke serve-bench telemetry-bench
-          batch-smoke model-smoke dist-smoke range-smoke bechamel all *)
+          batch-smoke model-smoke dist-smoke range-smoke shadow-bench bechamel
+          all *)
 
 let usage () =
   print_endline
@@ -18,7 +19,7 @@ let usage () =
     \                 fig8|fig9|ablation-inline|ablation-opt|ablation-precision|\n\
     \                 ablation-activity|ablation-search|perf-search|smoke|\n\
     \                 serve-bench|telemetry-bench|batch-smoke|model-smoke|\n\
-    \                 dist-smoke|range-smoke|bechamel|all]\n\
+    \                 dist-smoke|range-smoke|shadow-bench|bechamel|all]\n\
      -j N   worker domains for parallel sweeps / candidate evaluation\n\
     \        (default: Domain.recommended_domain_count () - 1, min 1)";
   exit 1
@@ -167,11 +168,97 @@ let hot_path_ok () =
     lowered callback_minor_words words_ok words;
   lowered && words_ok
 
+(* The shadow oracle at the serve-mix search sizes, under the
+   configuration each warm search chooses (arclength's set is the one
+   the oracle gate below runs). *)
+let shadow_inputs () =
+  let module B = Cheffp_benchmarks in
+  [
+    ( "arclength", B.Arclength.program, B.Arclength.func_name,
+      (fun () -> B.Arclength.args ~n:2000), [ "p2"; "d"; "fx"; "t2"; "h"; "x" ] );
+    ( "simpsons", B.Simpsons.program, B.Simpsons.func_name,
+      (fun () -> B.Simpsons.args ~a:0. ~b:Float.pi ~n:2000), [ "a"; "b"; "h" ] );
+    ( "kmeans", B.Kmeans.program, B.Kmeans.func_name,
+      (fun () -> B.Kmeans.args (B.Kmeans.generate ~npoints:300 ())),
+      [ "attributes" ] );
+  ]
+
+let shadow_run ~builtins (_, prog, func, args, chosen) =
+  let module Config = Cheffp_precision.Config in
+  let config =
+    Config.demote_all Config.double chosen Cheffp_precision.Fp.F32
+  in
+  let args = args () in
+  fun () ->
+    Cheffp_shadow.Shadow.run ~builtins ~config ~mode:Config.Source ~prog ~func
+      (Cheffp_ir.Interp.copy_args args)
+
+let minor_words_of f =
+  ignore (f ());
+  Gc.full_major ();
+  let w0 = Gc.minor_words () in
+  ignore (f ());
+  Gc.minor_words () -. w0
+
+(* `main.exe shadow-bench`: median wall time and minor-heap words of one
+   Shadow.run per input. *)
+let shadow_bench () =
+  let builtins = Cheffp_ir.Builtins.create () in
+  List.iter
+    (fun ((name, _, _, _, _) as input) ->
+      let run = shadow_run ~builtins input in
+      let words = minor_words_of run in
+      let times =
+        Array.init 21 (fun _ ->
+            let t0 = Unix.gettimeofday () in
+            ignore (run ());
+            Unix.gettimeofday () -. t0)
+      in
+      Array.sort compare times;
+      Printf.printf "shadow.run %-9s median %.2f ms  min %.2f ms  minor words %.0f\n"
+        name (times.(10) *. 1e3) (times.(0) *. 1e3) words)
+    (shadow_inputs ())
+
+(* Deterministic gate on the shadow oracle. One Shadow.run of arclength
+   n=2000 under its search's chosen configuration allocated 7_053_752
+   minor-heap words while the oracle interpreted the AST (OCaml 5.1.1,
+   x86-64); compiled, it must allocate at most a quarter of that, and
+   its result must equal, bit for bit, what the interpreter returned. *)
+let interpreted_shadow_words = 7_053_752.
+
+let shadow_oracle_ok () =
+  let arclength = List.hd (shadow_inputs ()) in
+  let run = shadow_run ~builtins:(Cheffp_ir.Builtins.create ()) arclength in
+  let words = minor_words_of run in
+  let r = run () in
+  let module S = Cheffp_shadow.Shadow in
+  let m = Option.get r.S.ret in
+  let same_result =
+    m.S.low = 0x1.72ecac4aep+2
+    && m.S.shadow.Cheffp_shadow.Dd.hi = 0x1.72ecabc63994ap+2
+    && m.S.shadow.Cheffp_shadow.Dd.lo = 0x1.296a6f5feda6cp-52
+    && m.S.abs_error = 0x1.094cd6cp-23
+    && m.S.rel_error = 0x1.6e33fa5ebab73p-26
+    && r.S.branch_hash = 0
+    && r.S.divergence
+       = [ ("s1", 0x1.5a4b7a1cp-20); ("fx", 0x1.54da8a2ep-20);
+           ("t1", 0x1.54da8a2ep-20); ("t2", 0x1.54da8a2ep-20);
+           ("d", 0x1.2fc0741ae6p-20); ("x", 0x1.8945cc4p-23);
+           ("h", 0x1.2e91c7ap-35); ("p2", 0x0p+0) ]
+  in
+  let words_ok = words <= 0.25 *. interpreted_shadow_words in
+  Printf.printf
+    "shadow gates: arclength n=2000 result identical to the interpreter's: \
+     %b; minor words <= 0.25x %.0f: %b (%.0f)\n"
+    same_result interpreted_shadow_words words_ok words;
+  same_result && words_ok
+
 (* Tiny-size smoke pass (seconds, not minutes): exercises the sweep
    plumbing, the parallel search path and the compile cache so
    `dune build @bench-smoke` gives CI-style coverage of the harness. *)
 let smoke ~jobs () =
   let hot_path = hot_path_ok () in
+  let shadow_ok = shadow_oracle_ok () in
   let sweep = Figures.fig4 ~jobs ~sizes:[ 2_000; 5_000 ] () in
   ignore sweep;
   let rows, batch, model, dist, soundness, server, telemetry, fpcore, range =
@@ -215,14 +302,14 @@ let smoke ~jobs () =
      input-sweep samples bit-identical to scalar: %b; server block gates \
      pass: %b; telemetry block gates pass: %b; fpcore corpus >= 40 kernels \
      with exact round trips: %b; range block gates pass: %b; hot-path \
-     gates pass: %b\n"
+     gates pass: %b; shadow gates pass: %b\n"
     ok batch_ok hits traced overhead_ok sound model_ok dist_ok server_ok
-    telemetry_ok fpcore_ok range_ok hot_path;
+    telemetry_ok fpcore_ok range_ok hot_path shadow_ok;
   if
     not
       (ok && batch_ok && hits && traced && overhead_ok && sound && model_ok
      && dist_ok && server_ok && telemetry_ok && fpcore_ok && range_ok
-     && hot_path)
+     && hot_path && shadow_ok)
   then exit 1
 
 (* Batched-search smoke (`dune build @batch-smoke`): tiny batched
@@ -395,6 +482,7 @@ let () =
   | "model-smoke" -> model_smoke ()
   | "dist-smoke" -> dist_smoke ()
   | "range-smoke" -> range_smoke ()
+  | "shadow-bench" -> shadow_bench ()
   | "suite" -> Tables.suite ()
   | "bechamel" -> Micro.run ()
   | _ -> usage ()

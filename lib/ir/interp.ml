@@ -414,7 +414,9 @@ and call_func st caller_scope f args =
 
 (* ------------------------------------------------------------------ *)
 
-let default_builtins = lazy (Builtins.create ())
+(* Built eagerly: two domains forcing one [lazy] at once can raise
+   [CamlinternalLazy.Undefined]. Lookups never mutate the registry. *)
+let default_builtins = Builtins.create ()
 
 let prepare_args st scope f (args : arg list) =
   if List.length args <> List.length f.params then
@@ -444,7 +446,7 @@ let prepare_args st scope f (args : arg list) =
 let run ?builtins ?(config = Config.double) ?(mode = Config.Source) ?counter
     ?(fuel = -1) ~prog ~func args =
   let builtins =
-    match builtins with Some b -> b | None -> Lazy.force default_builtins
+    match builtins with Some b -> b | None -> default_builtins
   in
   let st =
     {

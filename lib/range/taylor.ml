@@ -881,12 +881,14 @@ let bind_param st (p : param) (dim : Box.dim) : cell ref =
       ref (Cia (Array.map (fun n -> Known n) a))
   | _ -> give_up "argument kind mismatch for parameter %S" p.pname
 
-let default_builtins = lazy (Builtins.create ())
+(* Built eagerly: two domains forcing one [lazy] at once can raise
+   [CamlinternalLazy.Undefined]. Lookups never mutate the registry. *)
+let default_builtins = Builtins.create ()
 
 let eval_func ?builtins ?(mode = Config.Source) ?(fuel = 2_000_000) ~prog
     ~func ~(box : Box.t) () : result =
   let builtins =
-    match builtins with Some b -> b | None -> Lazy.force default_builtins
+    match builtins with Some b -> b | None -> default_builtins
   in
   let st =
     { prog; builtins; mode; fuel; peaks = SM.empty; narrow = SS.empty }

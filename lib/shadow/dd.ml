@@ -53,36 +53,91 @@ let two_prod a b =
 let neg { hi; lo } = { hi = -.hi; lo = -.lo }
 let abs d = if d.hi < 0.0 || (d.hi = 0.0 && d.lo < 0.0) then neg d else d
 
+(* The kernels below spell [two_sum], [quick_two_sum] and [two_prod]
+   out inline, flop for flop, so that only the result record is
+   allocated: a call to the tuple-returning helpers boxes both halves
+   and the tuple. Branches that yield two floats go through local refs,
+   which ocamlopt keeps unboxed. *)
+
+(* [two_prod a b]'s error term, with [p = a *. b] computed by the
+   caller. *)
+let two_prod_err a b p =
+  let ahi = ref 0.0 and alo = ref 0.0 in
+  if Float.abs a > split_threshold then begin
+    let a' = a *. 3.7252902984619140625e-09 in
+    let t = splitter *. a' in
+    let h = t -. (t -. a') in
+    ahi := h *. 268435456.0;
+    alo := (a' -. h) *. 268435456.0
+  end
+  else begin
+    let t = splitter *. a in
+    let h = t -. (t -. a) in
+    ahi := h;
+    alo := a -. h
+  end;
+  let bhi = ref 0.0 and blo = ref 0.0 in
+  if Float.abs b > split_threshold then begin
+    let b' = b *. 3.7252902984619140625e-09 in
+    let t = splitter *. b' in
+    let h = t -. (t -. b') in
+    bhi := h *. 268435456.0;
+    blo := (b' -. h) *. 268435456.0
+  end
+  else begin
+    let t = splitter *. b in
+    let h = t -. (t -. b) in
+    bhi := h;
+    blo := b -. h
+  end;
+  let ahi = !ahi and alo = !alo and bhi = !bhi and blo = !blo in
+  ((ahi *. bhi -. p) +. (ahi *. blo) +. (alo *. bhi)) +. (alo *. blo)
+[@@inline]
+
 (* QD-style accurate addition: TwoSum both components, then fold the
    low-order parts back in with two renormalization passes. *)
-let add a b =
-  let s1, s2 = two_sum a.hi b.hi in
-  let t1, t2 = two_sum a.lo b.lo in
+let add_parts ah al bh bl =
+  let s1 = ah +. bh in
+  let bb = s1 -. ah in
+  let s2 = (ah -. (s1 -. bb)) +. (bh -. bb) in
+  let t1 = al +. bl in
+  let tb = t1 -. al in
+  let t2 = (al -. (t1 -. tb)) +. (bl -. tb) in
   let s2 = s2 +. t1 in
-  let s1, s2 = quick_two_sum s1 s2 in
+  let u1 = s1 +. s2 in
+  let s2 = s2 -. (u1 -. s1) in
   let s2 = s2 +. t2 in
-  let s1, s2 = quick_two_sum s1 s2 in
-  { hi = s1; lo = s2 }
+  let v1 = u1 +. s2 in
+  { hi = v1; lo = s2 -. (v1 -. u1) }
+[@@inline]
 
-let sub a b = add a (neg b)
+let add a b = add_parts a.hi a.lo b.hi b.lo
+let sub a b = add_parts a.hi a.lo (-.b.hi) (-.b.lo)
 
 let add_float a b =
-  let s1, s2 = two_sum a.hi b in
+  let ah = a.hi in
+  let s1 = ah +. b in
+  let bb = s1 -. ah in
+  let s2 = (ah -. (s1 -. bb)) +. (b -. bb) in
   let s2 = s2 +. a.lo in
-  let s1, s2 = quick_two_sum s1 s2 in
-  { hi = s1; lo = s2 }
+  let u1 = s1 +. s2 in
+  { hi = u1; lo = s2 -. (u1 -. s1) }
 
 let mul a b =
-  let p1, p2 = two_prod a.hi b.hi in
-  let p2 = p2 +. (a.hi *. b.lo) +. (a.lo *. b.hi) in
-  let p1, p2 = quick_two_sum p1 p2 in
-  { hi = p1; lo = p2 }
+  let ah = a.hi and bh = b.hi in
+  let p1 = ah *. bh in
+  let p2 = two_prod_err ah bh p1 in
+  let p2 = p2 +. (ah *. b.lo) +. (a.lo *. bh) in
+  let u1 = p1 +. p2 in
+  { hi = u1; lo = p2 -. (u1 -. p1) }
 
 let mul_float a b =
-  let p1, p2 = two_prod a.hi b in
+  let ah = a.hi in
+  let p1 = ah *. b in
+  let p2 = two_prod_err ah b p1 in
   let p2 = p2 +. (a.lo *. b) in
-  let p1, p2 = quick_two_sum p1 p2 in
-  { hi = p1; lo = p2 }
+  let u1 = p1 +. p2 in
+  { hi = u1; lo = p2 -. (u1 -. p1) }
 
 (* Long division: binary64 seed quotient, two exact-residual correction
    terms, one final residual digit. *)
@@ -94,8 +149,8 @@ let div a b =
     let q2 = r.hi /. b.hi in
     let r = sub r (mul_float b q2) in
     let q3 = r.hi /. b.hi in
-    let q1, q2 = quick_two_sum q1 q2 in
-    add_float { hi = q1; lo = q2 } q3
+    let s = q1 +. q2 in
+    add_float { hi = s; lo = q2 -. (s -. q1) } q3
   end
 
 (* Karp's trick: with x ~ 1/sqrt(a) in binary64 and ax = fl(a.hi * x),
@@ -109,8 +164,12 @@ let sqrt a =
   else begin
     let x = 1.0 /. Float.sqrt a.hi in
     let ax = a.hi *. x in
-    let residual = sub a (mul (of_float ax) (of_float ax)) in
-    add (of_float ax) (mul_float residual (x *. 0.5))
+    let sq = ax *. ax in
+    let sq_err = two_prod_err ax ax sq +. (ax *. 0.0) +. (0.0 *. ax) in
+    let s = sq +. sq_err in
+    let residual = sub a { hi = s; lo = sq_err -. (s -. sq) } in
+    let c = mul_float residual (x *. 0.5) in
+    add_parts ax 0.0 c.hi c.lo
   end
 
 let compare a b =

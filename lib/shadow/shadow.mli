@@ -1,9 +1,10 @@
 (** Lockstep shadow execution: the ground-truth side of the oracle.
 
-    [run] interprets a MiniFP function once, carrying {e two} values per
-    float: the "low lane" — a binary64 rounded exactly like
-    {!Cheffp_ir.Interp} under the given {!Cheffp_precision.Config} and
-    rounding mode (bit-identical, asserted by the test suite) — and a
+    [run] compiles a MiniFP function to closures over slot-indexed
+    frames and runs it once, carrying {e two} values per float: the
+    "low lane" — a binary64 rounded exactly like {!Cheffp_ir.Interp}
+    under the given {!Cheffp_precision.Config} and rounding mode
+    (bit-identical, asserted by the test suite) — and a
     "shadow lane" in ~106-bit double-double ({!Dd}) that is never
     rounded except where the program itself demands an integer (and at
     the explicit [castf32]/[castf16] intrinsics, which the shadow lane
@@ -76,7 +77,14 @@ val run :
     implementation degrades gracefully — its low-lane function is
     applied to the shadow arguments rounded to binary64 (recorded once
     as a ["shadow.degraded"] trace event). Raises
-    [Interp.Runtime_error] exactly where the interpreter would. *)
+    [Interp.Runtime_error] exactly where the interpreter would, with
+    its message (and honours [fuel] the same way, one unit per executed
+    statement). User functions run in their own frames, out parameters
+    by reference, so [divergence] keys are the names the source uses.
+    On a program that fails {!Cheffp_ir.Typecheck} only because a
+    function's [return]s disagree with its declared result kind, the
+    error is raised at the call rather than where the interpreter
+    would trip over the mismatched value. *)
 
 val measured_error : result -> float
 (** Worst [abs_error] over the return value and every [out]

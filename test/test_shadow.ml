@@ -174,6 +174,204 @@ let test_sign_compare_sub_ulp () =
     (Dd.equal (Dd.make 1.0 0.0) Dd.one)
 
 (* ------------------------------------------------------------------ *)
+(* Dd kernels against the tuple-based reference                        *)
+(* ------------------------------------------------------------------ *)
+
+(* The arithmetic kernels as they were written before TwoSum/TwoProd
+   were spelled out inline: the same algorithms over tuple-returning
+   error-free transformations. The inline kernels must agree with
+   these bit for bit. *)
+module Tuple_dd = struct
+  type t = { hi : float; lo : float }
+
+  let of_float x = { hi = x; lo = 0.0 }
+
+  let two_sum a b =
+    let s = a +. b in
+    let bb = s -. a in
+    let err = (a -. (s -. bb)) +. (b -. bb) in
+    (s, err)
+
+  let quick_two_sum a b =
+    let s = a +. b in
+    let err = b -. (s -. a) in
+    (s, err)
+
+  let splitter = 134217729.0
+  let split_threshold = 6.696928794914171e299
+
+  let split a =
+    if Float.abs a > split_threshold then begin
+      let a' = a *. 3.7252902984619140625e-09 in
+      let t = splitter *. a' in
+      let ahi = t -. (t -. a') in
+      let alo = a' -. ahi in
+      (ahi *. 268435456.0, alo *. 268435456.0)
+    end
+    else begin
+      let t = splitter *. a in
+      let ahi = t -. (t -. a) in
+      let alo = a -. ahi in
+      (ahi, alo)
+    end
+
+  let two_prod a b =
+    let p = a *. b in
+    let ahi, alo = split a in
+    let bhi, blo = split b in
+    let err =
+      ((ahi *. bhi -. p) +. (ahi *. blo) +. (alo *. bhi)) +. (alo *. blo)
+    in
+    (p, err)
+
+  let neg { hi; lo } = { hi = -.hi; lo = -.lo }
+
+  let add a b =
+    let s1, s2 = two_sum a.hi b.hi in
+    let t1, t2 = two_sum a.lo b.lo in
+    let s2 = s2 +. t1 in
+    let s1, s2 = quick_two_sum s1 s2 in
+    let s2 = s2 +. t2 in
+    let s1, s2 = quick_two_sum s1 s2 in
+    { hi = s1; lo = s2 }
+
+  let sub a b = add a (neg b)
+
+  let add_float a b =
+    let s1, s2 = two_sum a.hi b in
+    let s2 = s2 +. a.lo in
+    let s1, s2 = quick_two_sum s1 s2 in
+    { hi = s1; lo = s2 }
+
+  let mul a b =
+    let p1, p2 = two_prod a.hi b.hi in
+    let p2 = p2 +. (a.hi *. b.lo) +. (a.lo *. b.hi) in
+    let p1, p2 = quick_two_sum p1 p2 in
+    { hi = p1; lo = p2 }
+
+  let mul_float a b =
+    let p1, p2 = two_prod a.hi b in
+    let p2 = p2 +. (a.lo *. b) in
+    let p1, p2 = quick_two_sum p1 p2 in
+    { hi = p1; lo = p2 }
+
+  let div a b =
+    let q1 = a.hi /. b.hi in
+    if not (Float.is_finite q1) || b.hi = 0.0 then of_float q1
+    else begin
+      let r = sub a (mul_float b q1) in
+      let q2 = r.hi /. b.hi in
+      let r = sub r (mul_float b q2) in
+      let q3 = r.hi /. b.hi in
+      let q1, q2 = quick_two_sum q1 q2 in
+      add_float { hi = q1; lo = q2 } q3
+    end
+
+  let sqrt a =
+    if a.hi = 0.0 then { hi = Float.sqrt a.hi; lo = 0.0 }
+    else if a.hi < 0.0 then of_float Float.nan
+    else if not (Float.is_finite a.hi) then of_float a.hi
+    else begin
+      let x = 1.0 /. Float.sqrt a.hi in
+      let ax = a.hi *. x in
+      let residual = sub a (mul (of_float ax) (of_float ax)) in
+      add (of_float ax) (mul_float residual (x *. 0.5))
+    end
+end
+
+(* Floats from every regime the kernels branch on: ordinary magnitudes,
+   the 2^996 split-scaling range, tiny normals, subnormals, signed
+   zeros, infinities and NaN. *)
+let gen_edge_float : float QCheck.Gen.t =
+  let open QCheck.Gen in
+  let signed g = map2 (fun neg x -> if neg then -.x else x) bool g in
+  frequency
+    [
+      (6, signed (map2 Float.ldexp (float_range 0.5 1.0) (int_range (-60) 60)));
+      (2, signed (map2 Float.ldexp (float_range 0.5 1.0) (int_range 990 1023)));
+      (2, signed (map2 Float.ldexp (float_range 0.5 1.0) (int_range (-1021) (-960))));
+      (2, signed (map (fun m -> Float.ldexp (float_of_int m) (-1074)) (int_range 1 0xFFFFF)));
+      (1, oneofl [ 0.0; -0.0; Float.infinity; Float.neg_infinity; Float.nan ]);
+    ]
+
+(* A dd operand: a binary64 head plus, most of the time, a tail below
+   its last bit, built through [Dd.make] so it satisfies the invariant
+   the kernels assume (inf/NaN heads produce the non-finite tails the
+   kernels must still treat identically). *)
+let gen_dd : Dd.t QCheck.Gen.t =
+  let open QCheck.Gen in
+  let* hi = gen_edge_float in
+  let* tail = frequency [ (1, return 0.0); (3, float_range (-0.5) 0.5) ] in
+  let* raw = frequency [ (5, return false); (1, bool) ] in
+  let lo = if raw then tail else hi *. tail *. 0x1p-53 in
+  return (Dd.make hi lo)
+
+let to_tuple (d : Dd.t) = { Tuple_dd.hi = d.Dd.hi; lo = d.Dd.lo }
+
+(* Bit equality, except that any two NaNs match: which NaN operand an
+   x86 addition or multiplication propagates (and so the payload and
+   sign) follows the operand order ocamlopt picks for a commutative
+   instruction, not the source. *)
+let same_float x y =
+  (Float.is_nan x && Float.is_nan y)
+  || Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+let same_bits (d : Dd.t) (r : Tuple_dd.t) =
+  same_float d.Dd.hi r.Tuple_dd.hi && same_float d.Dd.lo r.Tuple_dd.lo
+
+let show_dd (d : Dd.t) = Printf.sprintf "(%h, %h)" d.Dd.hi d.Dd.lo
+
+let dd_kernel_props =
+  let count = 4000 in
+  let binary name inline tuple =
+    QCheck.Test.make ~count ~name:("dd " ^ name ^ " = tuple kernel")
+      (QCheck.make
+         ~print:(fun (a, b) -> show_dd a ^ " " ^ show_dd b)
+         (QCheck.Gen.pair gen_dd gen_dd))
+      (fun (a, b) -> same_bits (inline a b) (tuple (to_tuple a) (to_tuple b)))
+  in
+  let with_float name inline tuple =
+    QCheck.Test.make ~count ~name:("dd " ^ name ^ " = tuple kernel")
+      (QCheck.make
+         ~print:(fun (a, b) -> show_dd a ^ Printf.sprintf " %h" b)
+         (QCheck.Gen.pair gen_dd gen_edge_float))
+      (fun (a, b) -> same_bits (inline a b) (tuple (to_tuple a) b))
+  in
+  [
+    binary "add" Dd.add Tuple_dd.add;
+    binary "sub" Dd.sub Tuple_dd.sub;
+    binary "mul" Dd.mul Tuple_dd.mul;
+    binary "div" Dd.div Tuple_dd.div;
+    with_float "add_float" Dd.add_float Tuple_dd.add_float;
+    with_float "mul_float" Dd.mul_float Tuple_dd.mul_float;
+    QCheck.Test.make ~count ~name:"dd sqrt = tuple kernel"
+      (QCheck.make ~print:show_dd gen_dd)
+      (fun a -> same_bits (Dd.sqrt a) (Tuple_dd.sqrt (to_tuple a)));
+  ]
+
+(* The inline kernels allocate only their result record (3 words). *)
+let test_dd_kernels_allocate_result_only () =
+  let a = Dd.make 1.1 1e-17 and b = Dd.make 3.3 (-2e-17) in
+  let per_call f =
+    ignore (f a b);
+    let w0 = Gc.minor_words () in
+    for _ = 1 to 1000 do
+      ignore (Sys.opaque_identity (f a b))
+    done;
+    (Gc.minor_words () -. w0) /. 1000.
+  in
+  List.iter
+    (fun (name, f) ->
+      check_exact (name ^ " words per call") 3.0 (per_call f))
+    [
+      ("add", Dd.add);
+      ("sub", Dd.sub);
+      ("mul", Dd.mul);
+      ("add_float", fun a _ -> Dd.add_float a 0.7);
+      ("mul_float", fun a _ -> Dd.mul_float a 0.7);
+    ]
+
+(* ------------------------------------------------------------------ *)
 (* Shadow.run: hand-computed kernels and interpreter bit-identity      *)
 (* ------------------------------------------------------------------ *)
 
@@ -232,6 +430,211 @@ let test_shadow_mini_simpson () =
   (* ...and in all-binary64 the measured true error sits at the
      rounding floor: a handful of ulps around 2.0. *)
   check_bool "error at rounding floor" true (m.Shadow.rel_error < 1e-14)
+
+(* ------------------------------------------------------------------ *)
+(* Golden oracle results                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* Every field of [Shadow.run]'s result on a fixed set of runs, pinned
+   as hexadecimal floats in shadow_golden.txt: the five paper kernels
+   at small sizes, all-binary64 and under the configuration the
+   serve-mix search chooses for them (the perfbench search ledger's
+   sets for Black-Scholes and HPCCG), in both rounding modes; the
+   FastApprox Black-Scholes variant, whose intrinsics have no shadow
+   implementation (the degraded path); [calls_prog] under three
+   configurations; and the 48 FPCore corpus kernels
+   at uniform binary32 on their :pre midpoints. The file was captured
+   from the AST-walking oracle this compiled one replaced;
+   [dump_golden] writes the same format from the current code. *)
+
+(* User functions: copied in-parameters, out-parameters by reference
+   (one cell passed twice), arrays shared with the callee, recursion,
+   and the intrinsics with discrete results. *)
+let calls_prog =
+  Parser.parse_program
+    {|
+func sq(x: f64): f64 { var y: f64 = x * x; return y; }
+func acc(a: f64, out s: f64, out n: int): void { s = s + a; n = n + 1; }
+func fill(v: f64[], k: int): void {
+  for i in 0 .. k { v[i] = v[i] * 0.1 + sq(itof(i)); }
+}
+func fact(n: int): f64 { if (n <= 1) { return 1.0; } return itof(n) * fact(n - 1); }
+func both(out p: f64, out q: f64): void { p = p + 1.5; q = q * 3.0; p = p * q; }
+func main(x: f64, m: int, out r: f64, out c: int): f64 {
+  var s: f64 = 0.0;
+  var n: int = 0;
+  var v: f64[8];
+  for i in 0 .. 8 { v[i] = x / itof(i + 1); }
+  fill(v, m);
+  for i in 0 .. m { acc(v[i] + sq(x), s, n); }
+  both(s, s);
+  r = s * fact(m) + select(n > 2, x, -x) + fmin(x, s) + fmax(x, 0.1);
+  c = n + ftoi(r) % 7;
+  var w: f64 = sign(r) + floor(x * 3.3) + ceil(x) + pow(fabs(x) + 1.0, 1.5);
+  return w + r + castf32(s) + castf16(x) + fma(x, x, s) + exp(x * 0.1);
+}
+|}
+
+type golden_case = {
+  label : string;
+  run : unit -> Shadow.result;
+}
+
+let golden_cases () =
+  let paper =
+    let fast_builtins =
+      let b = Builtins.create () in
+      Cheffp_fastapprox.Fastapprox.register_builtins b;
+      b
+    in
+    let kernels =
+      [
+        ( "arclength", B.Arclength.program, B.Arclength.func_name,
+          (fun () -> B.Arclength.args ~n:200),
+          [ "p2"; "d"; "fx"; "t2"; "h"; "x" ], None );
+        ( "simpsons", B.Simpsons.program, B.Simpsons.func_name,
+          (fun () -> B.Simpsons.args ~a:0. ~b:Float.pi ~n:200),
+          [ "a"; "b"; "h" ], None );
+        ( "kmeans", B.Kmeans.program, B.Kmeans.func_name,
+          (fun () -> B.Kmeans.args (B.Kmeans.generate ~npoints:40 ())),
+          [ "attributes" ], None );
+        ( "blackscholes",
+          B.Blackscholes.program B.Blackscholes.Exact,
+          B.Blackscholes.func_name,
+          (fun () -> B.Blackscholes.args (B.Blackscholes.generate ~n:3 ())),
+          [ "lsk"; "d1" ], None );
+        ( "blackscholes-fast",
+          B.Blackscholes.program B.Blackscholes.Fast_log_sqrt_exp,
+          B.Blackscholes.func_name,
+          (fun () -> B.Blackscholes.args (B.Blackscholes.generate ~n:3 ())),
+          [ "lsk"; "d1" ], Some fast_builtins );
+        ( "hpccg", B.Hpccg.program, B.Hpccg.func_name,
+          (fun () ->
+            B.Hpccg.args (B.Hpccg.generate ~nx:4 ~ny:4 ~nz:4 ~max_iter:6 ())),
+          [ "vals"; "b"; "normr" ], None );
+      ]
+    in
+    List.concat_map
+      (fun (name, prog, func, args, chosen, builtins) ->
+        List.concat_map
+          (fun (cname, config) ->
+            List.map
+              (fun (mname, mode) ->
+                {
+                  label = String.concat "." [ name; cname; mname ];
+                  run =
+                    (fun () ->
+                      Shadow.run ?builtins ~config ~mode ~prog ~func (args ()));
+                })
+              [ ("source", Config.Source); ("extended", Config.Extended) ])
+          [
+            ("f64", Config.double);
+            ("chosen", Config.demote_all Config.double chosen Fp.F32);
+          ])
+      kernels
+  in
+  let calls =
+    List.map
+      (fun (cname, config, mode) ->
+        {
+          label = "calls." ^ cname;
+          run =
+            (fun () ->
+              Shadow.run ~config ~mode ~prog:calls_prog ~func:"main"
+                [ Interp.Aflt 0.7; Interp.Aint 3; Interp.Aflt 0.5; Interp.Aint 3 ]);
+        })
+      [
+        ("f64.source", Config.double, Config.Source);
+        ( "demoted.source",
+          Config.demote_all Config.double [ "s"; "v"; "y" ] Fp.F32,
+          Config.Source );
+        ( "demoted.extended",
+          Config.demote (Config.demote_all Config.double [ "s"; "v" ] Fp.F32) "p" Fp.F16,
+          Config.Extended );
+      ]
+  in
+  let corpus =
+    List.map
+      (fun (e : B.Corpus.entry) ->
+        let core = e.B.Corpus.core in
+        let func = core.Cheffp_fpcore.Import.name in
+        {
+          label = "corpus." ^ func;
+          run =
+            (fun () ->
+              Shadow.run ~config:(Config.uniform Fp.F32) ~mode:Config.Source
+                ~prog:e.B.Corpus.prog ~func
+                (copy_args core.Cheffp_fpcore.Import.default_args));
+        })
+      (B.Corpus.load ())
+  in
+  paper @ calls @ corpus
+
+let hex x = if Float.is_nan x then "nan" else Printf.sprintf "%h" x
+
+let render_result label (r : Shadow.result) =
+  let m tag (m : Shadow.measurement) =
+    String.concat " "
+      [ tag; m.Shadow.name; hex m.Shadow.low; hex m.Shadow.shadow.Dd.hi;
+        hex m.Shadow.shadow.Dd.lo; hex m.Shadow.abs_error;
+        hex m.Shadow.rel_error ]
+  in
+  [ "case " ^ label ]
+  @ (match r.Shadow.ret with Some x -> [ m "ret" x ] | None -> [])
+  @ (match r.Shadow.ret_int with
+    | Some n -> [ Printf.sprintf "ret_int %d" n ]
+    | None -> [])
+  @ List.map (m "out") r.Shadow.outs
+  @ List.map (fun (n, g) -> Printf.sprintf "div %s %s" n (hex g))
+      r.Shadow.divergence
+  @ [ Printf.sprintf "hash %d" r.Shadow.branch_hash ]
+
+let dump_golden () =
+  List.iter
+    (fun c -> List.iter print_endline (render_result c.label (c.run ())))
+    (golden_cases ())
+
+(* The golden file, split into one line list per case. *)
+let golden_file () =
+  let ic = open_in "shadow_golden.txt" in
+  let rec lines acc =
+    match input_line ic with
+    | l -> lines (l :: acc)
+    | exception End_of_file -> close_in ic; List.rev acc
+  in
+  let cases = Hashtbl.create 128 in
+  let flush label acc =
+    match label with
+    | Some l -> Hashtbl.replace cases l (List.rev acc)
+    | None -> ()
+  in
+  let label, acc =
+    List.fold_left
+      (fun (label, acc) line ->
+        if String.starts_with ~prefix:"case " line then begin
+          flush label acc;
+          (Some (String.sub line 5 (String.length line - 5)), [ line ])
+        end
+        else (label, line :: acc))
+      (None, []) (lines [])
+  in
+  flush label acc;
+  cases
+
+let test_golden () =
+  let golden = golden_file () in
+  let cases = golden_cases () in
+  Alcotest.(check int) "cases in golden file" (List.length cases)
+    (Hashtbl.length golden);
+  List.iter
+    (fun c ->
+      let want =
+        match Hashtbl.find_opt golden c.label with
+        | Some l -> l
+        | None -> Alcotest.failf "no golden result for %s" c.label
+      in
+      Alcotest.(check (list string)) c.label want (render_result c.label (c.run ())))
+    cases
 
 let demoted_arclength_config =
   Config.demote_all Config.double [ "s1"; "t1"; "t2"; "d" ] Fp.F32
@@ -323,6 +726,70 @@ func branchy(x: f64): f64 {
   return 0.0;
 }
 |}
+
+(* Run-time errors: the oracle fails where the interpreter fails, with
+   the interpreter's message, and a runaway loop under a fuel budget
+   stops instead of hanging. *)
+let runtime_error f =
+  match f () with
+  | _ -> Alcotest.fail "expected Interp.Runtime_error"
+  | exception Interp.Runtime_error msg -> msg
+
+let check_same_error label prog func args =
+  let i = runtime_error (fun () -> ignore (Interp.run ~fuel:10_000 ~prog ~func (copy_args args))) in
+  let s = runtime_error (fun () -> ignore (Shadow.run ~fuel:10_000 ~prog ~func (copy_args args))) in
+  Alcotest.(check string) label i s;
+  i
+
+let test_shadow_fuel_exhausted () =
+  let prog =
+    Parser.parse_program
+      {|
+func spin(y: f64): f64 {
+  while (y > 0.0) {
+    y = y + 1.0;
+  }
+  return y;
+}
+|}
+  in
+  let msg = check_same_error "same message" prog "spin" [ Interp.Aflt 1.0 ] in
+  check_bool ("fuel exhausted: " ^ msg) true
+    (String.starts_with ~prefix:"fuel exhausted" msg)
+
+let test_shadow_out_of_bounds () =
+  let prog =
+    Parser.parse_program
+      {|
+func oob(v: f64[], k: int): f64 {
+  var s: f64 = 0.0;
+  for i in 0 .. k {
+    s = s + v[i];
+  }
+  return s;
+}
+|}
+  in
+  let msg =
+    check_same_error "same message" prog "oob"
+      [ Interp.Afarr [| 1.0; 2.0; 3.0 |]; Interp.Aint 4 ]
+  in
+  Alcotest.(check string) "text" "index 3 out of bounds for \"v\" (length 3)" msg
+
+let test_shadow_int_division_by_zero () =
+  let prog =
+    Parser.parse_program
+      {|
+func quot(x: f64, k: int): f64 {
+  var q: int = 7 / k;
+  return x * itof(q);
+}
+|}
+  in
+  let msg =
+    check_same_error "same message" prog "quot" [ Interp.Aflt 2.0; Interp.Aint 0 ]
+  in
+  Alcotest.(check string) "text" "integer division by zero" msg
 
 let test_shadow_branch_hash () =
   let run config =
@@ -449,6 +916,10 @@ let test_oracle_detects_unsound () =
      find 0)
 
 let () =
+  if Array.length Sys.argv > 1 && Sys.argv.(1) = "--dump-golden" then begin
+    dump_golden ();
+    exit 0
+  end;
   Alcotest.run "shadow"
     [
       ( "dd",
@@ -478,7 +949,10 @@ let () =
             test_floor_ceil_across_lo;
           Alcotest.test_case "sign/compare sub-ulp" `Quick
             test_sign_compare_sub_ulp;
-        ] );
+          Alcotest.test_case "kernels allocate only the result" `Quick
+            test_dd_kernels_allocate_result_only;
+        ]
+        @ List.map QCheck_alcotest.to_alcotest dd_kernel_props );
       ( "shadow",
         [
           Alcotest.test_case "cancellation kernel" `Quick
@@ -491,6 +965,13 @@ let () =
           Alcotest.test_case "divergence tracking" `Quick
             test_shadow_divergence_tracking;
           Alcotest.test_case "branch hash" `Quick test_shadow_branch_hash;
+          Alcotest.test_case "golden results" `Quick test_golden;
+          Alcotest.test_case "fuel exhausted like interp" `Quick
+            test_shadow_fuel_exhausted;
+          Alcotest.test_case "out of bounds like interp" `Quick
+            test_shadow_out_of_bounds;
+          Alcotest.test_case "division by zero like interp" `Quick
+            test_shadow_int_division_by_zero;
         ] );
       ( "oracle",
         [

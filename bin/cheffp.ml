@@ -22,6 +22,7 @@ module Metrics = Cheffp_obs.Metrics
 module Export = Cheffp_obs.Export
 module Range = Cheffp_range.Range
 module Rbox = Cheffp_range.Box
+module Protocol = Cheffp_server.Protocol
 
 let read_file path =
   let ic = open_in_bin path in
@@ -86,37 +87,6 @@ let load_any ~format path =
   end
   else (load path, None)
 
-(* Parse positional argument strings against the function signature. *)
-let parse_args func (raw : string list) =
-  let f p s =
-    match p.Ast.pty with
-    | Ast.Tscalar Ast.Sint -> Interp.Aint (int_of_string s)
-    | Ast.Tscalar (Ast.Sflt _) -> Interp.Aflt (float_of_string s)
-    | Ast.Tarr (Ast.Sflt _) ->
-        Interp.Afarr
-          (Array.of_list (List.map float_of_string (String.split_on_char ':' s)))
-    | Ast.Tarr Ast.Sint ->
-        Interp.Aiarr
-          (Array.of_list (List.map int_of_string (String.split_on_char ':' s)))
-  in
-  let params = List.filter (fun p -> p.Ast.pmode = Ast.In) func.Ast.params in
-  if List.length params <> List.length raw then
-    failwith
-      (Printf.sprintf "function %S expects %d arguments, got %d"
-         func.Ast.fname (List.length params) (List.length raw));
-  List.map2 f params raw
-
-let parse_config demote =
-  List.fold_left
-    (fun cfg spec ->
-      match String.split_on_char ':' spec with
-      | [ var; fmt ] -> (
-          match Fp.format_of_string fmt with
-          | Some f -> Config.demote cfg var f
-          | None -> failwith ("unknown format " ^ fmt))
-      | _ -> failwith ("bad demotion spec " ^ spec ^ " (expected var:fmt)"))
-    Config.double demote
-
 (* Positional args beat [:pre]-derived samples; FPCore kernels analyzed
    with no explicit arguments fall back to their sample point. *)
 let resolve_args cores func (f : Ast.func) raw =
@@ -124,14 +94,8 @@ let resolve_args cores func (f : Ast.func) raw =
   | [], Some cs -> (
       match Fpcore_import.find cs func with
       | Some c -> c.Fpcore_import.default_args
-      | None -> parse_args f raw)
-  | _ -> parse_args f raw
-
-let model_of_string target = function
-  | "taylor" -> Cheffp_core.Model.taylor ~target ()
-  | "adapt" -> Cheffp_core.Model.adapt ~target ()
-  | "zero" -> Cheffp_core.Model.zero
-  | other -> failwith ("unknown model " ^ other ^ " (taylor|adapt|zero)")
+      | None -> Protocol.parse_args f raw)
+  | _ -> Protocol.parse_args f raw
 
 (* ---------------- observability flags ---------------- *)
 
@@ -251,10 +215,6 @@ let no_batch_arg =
     & info [ "no-batch" ]
         ~doc:"Disable batched evaluation; run every candidate scalar.")
 
-(* --batch K unless --no-batch (or a degenerate K) turned it off. *)
-let batch_of ~batch ~no_batch =
-  if no_batch || batch < 2 then None else Some batch
-
 let strategy_arg =
   Arg.(
     value
@@ -269,11 +229,6 @@ let strategy_arg =
            rejects it by the --prune-margin factor — chosen set \
            identical to measured, one run fewer.")
 
-let strategy_of s =
-  match Cheffp_core.Search.strategy_of_string s with
-  | Some st -> st
-  | None -> failwith ("unknown strategy " ^ s ^ " (measured|modelled|hybrid)")
-
 let prune_margin_arg =
   Arg.(
     value
@@ -283,11 +238,6 @@ let prune_margin_arg =
           "Hybrid model-distrust margin (>= 1): the all-demoted run is \
            skipped only when its profile score exceeds M times the \
            threshold. Every other decision stays measured.")
-
-let target_of s =
-  match Fp.format_of_string s with
-  | Some f -> f
-  | None -> failwith ("unknown format " ^ s)
 
 (* ---------------- Monte-Carlo input sampling ---------------- *)
 
@@ -407,8 +357,8 @@ let run_cmd =
     wrap (fun () ->
         let prog = load file in
         let f = Ast.func_exn prog func in
-        let args = parse_args f raw in
-        let config = parse_config demote in
+        let args = Protocol.parse_args f raw in
+        let config = Protocol.parse_config demote in
         let counter = Cost.Counter.create Cost.default in
         let r =
           Interp.run ~builtins:(builtins ()) ~config ~counter ~fuel ~prog
@@ -455,8 +405,8 @@ let analyze_cmd =
         with_obs ~cmd:"analyze" obs @@ fun () ->
         let prog, cores = load_any ~format file in
         let f = Ast.func_exn prog func in
-        let target = target_of target in
-        let model = model_of_string target model in
+        let target = Protocol.target_of target in
+        let model = Protocol.model_of_string target model in
         let est =
           Cheffp_core.Estimate.estimate_error ~model ~deriv:(deriv ())
             ~builtins:(builtins ())
@@ -508,14 +458,14 @@ let analyze_cmd =
            $ box_arg $ range_backend_arg $ obs_term $ rest_args))
 
 let tune_cmd =
-  let run file func threshold target emit profiled format jobs batch no_batch
-      samples dist seed obs raw =
+  let run file func threshold target emit profiled format jobs samples dist
+      seed obs raw =
     wrap (fun () ->
         with_obs ~cmd:"tune" obs @@ fun () ->
         let prog, cores = load_any ~format file in
         let f = Ast.func_exn prog func in
         let args = resolve_args cores func f raw in
-        let target = target_of target in
+        let target = Protocol.target_of target in
         let profile =
           if profiled then
             Some
@@ -525,8 +475,7 @@ let tune_cmd =
         in
         let o =
           Cheffp_core.Tuner.tune ?profile ~target ~builtins:(builtins ())
-            ~jobs ?batch:(batch_of ~batch ~no_batch) ~prog ~func ~args
-            ~threshold ()
+            ~jobs ~prog ~func ~args ~threshold ()
         in
         print_string (Cheffp_core.Report.tuning o);
         if samples > 0 then begin
@@ -574,9 +523,8 @@ let tune_cmd =
     (Cmd.info "tune" ~doc:"Greedy mixed-precision tuning against an error threshold.")
     Term.(
       ret (const run $ file_arg $ func_arg $ threshold_arg $ target_arg
-           $ emit_arg $ profiled_arg $ format_arg $ jobs_arg $ batch_arg
-           $ no_batch_arg $ samples_arg $ dist_arg $ seed_arg $ obs_term
-           $ rest_args))
+           $ emit_arg $ profiled_arg $ format_arg $ jobs_arg $ samples_arg
+           $ dist_arg $ seed_arg $ obs_term $ rest_args))
 
 let search_cmd =
   let run file func threshold target strategy prune_margin format jobs batch
@@ -586,7 +534,7 @@ let search_cmd =
         let prog, cores = load_any ~format file in
         let f = Ast.func_exn prog func in
         let args = resolve_args cores func f raw in
-        let target = target_of target in
+        let target = Protocol.target_of target in
         (* Ground-truth column: shadow-execute the chosen configuration
            against the double-double reference (search validates in
            Source mode, so measure there too). *)
@@ -610,9 +558,9 @@ let search_cmd =
         in
         let o =
           Cheffp_core.Search.tune ~target ~builtins:(builtins ()) ~jobs
-            ~strategy:(strategy_of strategy) ~prune_margin
-            ?batch:(batch_of ~batch ~no_batch) ?sampling ~measure ~prog ~func
-            ~args ~threshold ()
+            ~strategy:(Protocol.strategy_of strategy) ~prune_margin
+            ?batch:(Protocol.batch_of ~batch ~no_batch) ?sampling ~measure
+            ~prog ~func ~args ~threshold ()
         in
         print_string (Cheffp_core.Report.search o))
   in
@@ -640,14 +588,9 @@ let validate_cmd =
               match Fpcore_import.find cs func with
               | Some c -> c.Fpcore_import.config
               | None -> Config.double)
-          | _ -> parse_config demote
+          | _ -> Protocol.parse_config demote
         in
-        let mode =
-          match mode with
-          | "extended" -> Config.Extended
-          | "source" -> Config.Source
-          | other -> failwith ("unknown mode " ^ other ^ " (extended|source)")
-        in
+        let mode = Protocol.mode_of_string mode in
         let v =
           Cheffp_shadow.Oracle.check_estimate ~builtins:(builtins ()) ~mode
             ~margin ~fuel ~prog ~func ~config args
@@ -855,7 +798,7 @@ let export_cmd =
     wrap (fun () ->
         let prog, _ = load_any ~format file in
         let config =
-          if demote = [] then None else Some (parse_config demote)
+          if demote = [] then None else Some (Protocol.parse_config demote)
         in
         let text =
           match func with
@@ -890,7 +833,7 @@ let adapt_cmd =
   let run bench n target budget jobs obs =
     wrap (fun () ->
         with_obs ~cmd:"adapt" obs @@ fun () ->
-        let target = target_of target in
+        let target = Protocol.target_of target in
         let analyze run =
           Adapt.analyze ~target ?memory_budget:budget ~jobs run
         in
@@ -1296,7 +1239,7 @@ let sensitivity_cmd =
     wrap (fun () ->
         let prog = load file in
         let f = Ast.func_exn prog func in
-        let args = parse_args f raw in
+        let args = Protocol.parse_args f raw in
         let track =
           match loop with Some name -> `Loop name | None -> `Outermost
         in

@@ -93,11 +93,14 @@ val sweep :
   Interp.arg list array ->
   float array
 (** Batched evaluation of [func] under [config] at each input vector:
-    {!Cheffp_ir.Compile_cache.compile_sweep} for the artifact,
+    {!Cheffp_ir.Compile_cache.compile_batch} for the artifact (the same
+    cache entry the configuration-lane sweeps of a search use),
     {!Cheffp_ir.Batch.run_inputs_many} for the execution ([lanes]-wide
     sweeps, default {!Cheffp_ir.Batch.default_sweep_lanes}, fanned
     over [jobs] domains), cache-backed scalar fallback for diverged
-    lanes. Results preserve input order. *)
+    lanes. Results preserve input order. The sampled mode of
+    {!Search.tune} runs its double reference through this function and
+    every candidate through {!measured_errors} with that reference. *)
 
 val measured_errors :
   ?jobs:int ->
@@ -114,9 +117,9 @@ val measured_errors :
     reference: [(errors, reference)] with
     [errors.(i) = |y_config(x_i) - y_double(x_i)|]. Pass [reference]
     (the second component of a previous call on the same inputs) to
-    share the double sweep across many candidate configurations — the
-    tuning loop's trick. @raise Invalid_argument on a reference length
-    mismatch. *)
+    share the double sweep across many candidate configurations — what
+    {!Search.tune}'s sampled mode does. @raise Invalid_argument on a
+    reference length mismatch. *)
 
 val measured_summary :
   ?jobs:int ->

@@ -1,7 +1,6 @@
 open Cheffp_ir
 module Config = Cheffp_precision.Config
 module Fp = Cheffp_precision.Fp
-module Cost = Cheffp_precision.Cost
 module Pool = Cheffp_util.Pool
 module Trace = Cheffp_obs.Trace
 module Metrics = Cheffp_obs.Metrics
@@ -79,15 +78,11 @@ let tune ?(target = Fp.F32) ?mode ?builtins ?(jobs = 1) ?batch ?sampling
   in
   let run config =
     Atomic.incr executions;
-    (* Metered compilation (counters are per-run, dropped here) so the
-       cache key space is shared with Tuner.evaluate: the reference and
-       the finally chosen configuration compile once across the whole
-       tuning run. Argument copies keep concurrent runs independent. *)
-    let compiled =
-      Compile_cache.compile ?builtins ?mode ~meter:true ~config ~prog ~func ()
-    in
-    Trace.with_span "run" (fun () ->
-        Compile.run_float compiled (Interp.copy_args args))
+    (* Tuner's metered run, so the cache key space is shared with
+       Tuner.evaluate: the reference and the finally chosen
+       configuration compile once across the whole tuning run. *)
+    let value, _, _ = Tuner.run ?builtins ?mode ~prog ~func ~args config in
+    value
   in
   let candidates = Tuner.float_variables (Ast.func_exn prog func) in
   let chosen =
@@ -125,60 +120,49 @@ let tune ?(target = Fp.F32) ?mode ?builtins ?(jobs = 1) ?batch ?sampling
     | (`Measured | `Hybrid) as strategy ->
         (* What one candidate configuration's "error" means. Point mode:
            |y_config - y_double| at the single base args. Sampled mode
-           ([sampling]): a Monte-Carlo input sweep through the batched
-           input-sweep runner — the configuration's error is the chosen
-           quantile (e.g. p99) of |y_config(x_i) - y_double(x_i)| over
-           the sampled inputs, with the double reference sweep computed
-           once and shared across every candidate. In both modes one
-           candidate evaluation counts one [execution] (set units, so
-           the hybrid-vs-measured accounting is mode-independent);
-           sampled evaluations additionally count their lane sweeps in
-           [batched_runs]. *)
-        let point_reference =
+           ([sampling]): a Monte-Carlo input sweep ({!Sampling}) — the
+           configuration's error is the chosen quantile (e.g. p99) of
+           |y_config(x_i) - y_double(x_i)| over the sampled inputs, with
+           the double reference sweep computed once and shared across
+           every candidate. In both modes one candidate evaluation
+           counts one [execution] (set units, so the hybrid-vs-measured
+           accounting is mode-independent); sampled evaluations
+           additionally count their lane sweeps in [batched_runs]. *)
+        let point_reference, measure_config =
           match sampling with
           | None ->
-              Some
-                (Trace.with_span "search.reference" (fun () ->
-                     run Config.double))
-          | Some _ -> None
-        in
-        let measure_config =
-          match point_reference with
-          | Some reference ->
-              fun config -> Float.abs (run config -. reference)
-          | None ->
-              let s = Option.get sampling in
-              let nsamp = Array.length s.inputs in
+              let reference =
+                Trace.with_span "search.reference" (fun () ->
+                    run Config.double)
+              in
+              ( Some reference,
+                fun config -> Float.abs (run config -. reference) )
+          | Some s ->
               let lanes =
                 match batch with
                 | Some l when l > 1 -> l
                 | _ -> Batch.default_lanes
               in
-              let b =
-                Compile_cache.compile_sweep ?builtins ?mode ~prog ~func ()
-              in
-              let fallback config =
-                Compile_cache.compile ?builtins ?mode ~meter:true ~config
-                  ~prog ~func ()
-              in
-              let sweep config =
+              let count_sweep () =
                 Atomic.incr executions;
                 ignore
                   (Atomic.fetch_and_add batched_runs
-                     ((nsamp + lanes - 1) / lanes));
-                Batch.run_inputs_many ~jobs ~lanes ~fallback b ~config
-                  s.inputs
+                     ((Array.length s.inputs + lanes - 1) / lanes))
               in
               let reference =
                 Trace.with_span "search.reference" (fun () ->
-                    sweep Config.double)
+                    count_sweep ();
+                    Sampling.sweep ~jobs ~lanes ?builtins ?mode ~prog ~func
+                      ~config:Config.double s.inputs)
               in
-              fun config ->
-                let vals = sweep config in
-                let errs =
-                  Array.map2 (fun v r -> Float.abs (v -. r)) vals reference
-                in
-                Quantile.quantile_of_array errs s.quantile
+              ( None,
+                fun config ->
+                  count_sweep ();
+                  let errs, _ =
+                    Sampling.measured_errors ~jobs ~lanes ?builtins ?mode
+                      ~reference ~prog ~func ~config s.inputs
+                  in
+                  Quantile.quantile_of_array errs s.quantile )
         in
         (* Per-candidate spans carry the probed variable set and its
            observed error; they run inside pool workers and nest under
@@ -202,14 +186,9 @@ let tune ?(target = Fp.F32) ?mode ?builtins ?(jobs = 1) ?batch ?sampling
            Per-set observability drops from spans to events — the sets
            inside one sweep have no meaningful individual duration. *)
         let errors_of_sets sets =
-          match (sampling, batch) with
-          | Some _, _ ->
-              (* Sampled mode: each set is already a [jobs]-wide lane
-                 sweep over the inputs axis, so sets evaluate in
-                 sequence — parallelism lives inside the sweep, not
-                 across sets. *)
-              List.map (fun vars -> error_of vars) sets
-          | None, Some lanes when lanes > 1 && List.length sets > 1 ->
+          match (point_reference, batch) with
+          | Some reference, Some lanes when lanes > 1 && List.length sets > 1
+            ->
               let n = List.length sets in
               let configs =
                 List.map
@@ -227,7 +206,6 @@ let tune ?(target = Fp.F32) ?mode ?builtins ?(jobs = 1) ?batch ?sampling
                   ~prog ~func ()
               in
               let vals = Batch.run_many ~jobs ~lanes ~fallback b ~configs args in
-              let reference = Option.get point_reference in
               List.map2
                 (fun vars v ->
                   let e = Float.abs (v -. reference) in
@@ -239,7 +217,14 @@ let tune ?(target = Fp.F32) ?mode ?builtins ?(jobs = 1) ?batch ?sampling
                       ];
                   e)
                 sets vals
-          | _, _ -> Pool.parallel_map ~jobs (fun vars -> error_of vars) sets
+          | Some _, _ ->
+              Pool.parallel_map ~jobs (fun vars -> error_of vars) sets
+          | None, _ ->
+              (* Sampled mode: each set is already a [jobs]-wide lane
+                 sweep over the inputs axis, so sets evaluate in
+                 sequence — parallelism lives inside the sweep, not
+                 across sets. *)
+              List.map (fun vars -> error_of vars) sets
         in
         (* The all-demoted shortcut costs one run under `Measured. The
            model rejects the full set when its scored error clears the

@@ -144,17 +144,19 @@ val tune :
     scalar runs, so the outcome (demoted set, evaluation, executions)
     is unchanged — lanes that diverge from shared control flow are
     transparently re-run scalar. The reference run, the all-demoted
-    shortcut and the final {!Tuner.evaluate} stay scalar (one or two
-    configurations are below the batching break-even).
+    shortcut, single-candidate rounds and the final {!Tuner.evaluate}
+    stay scalar {!Tuner.run}s (one or two configurations are below the
+    batching break-even).
 
     [sampling] (default off) switches [`Measured]/[`Hybrid] candidate
     judgement from single-point to quantile-targeted: the double
     reference becomes one input sweep over [sampling.inputs] (computed
     once, shared across all candidates), and each candidate's error is
-    the [sampling.quantile] of its per-sample |deviation| — evaluated
-    through the batched {e input-sweep} axis
-    ({!Cheffp_ir.Batch.run_inputs_many}, lane width from [batch] when
-    [>= 2], else the default), fanned over [jobs] domains. A
+    the [sampling.quantile] of its per-sample |deviation| — the double
+    reference is one {!Sampling.sweep}, each candidate one
+    {!Sampling.measured_errors} against it (the batched {e input-sweep}
+    axis, lane width from [batch] when [>= 2], else
+    {!Cheffp_ir.Batch.default_lanes}, fanned over [jobs] domains). A
     configuration that is fine at the box midpoint but violates the
     threshold in a tail now fails its accept, so the chosen demotion
     set can legitimately differ from single-point tuning (the

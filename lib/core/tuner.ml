@@ -36,10 +36,11 @@ let float_variables f =
   List.iter stmt f.body;
   params @ List.rev !locals
 
-let run_with ?builtins ?mode ~prog ~func ~args config =
+let run ?builtins ?mode ~prog ~func ~args config =
   (* Metered compilation through the cache; the counter is threaded
      per run, so the cached instance is shared across configurations,
-     repeated evaluations and pool workers alike. *)
+     repeated evaluations, search candidates and pool workers alike.
+     Argument copies keep concurrent runs independent. *)
   let counter = Cost.Counter.create Cost.default in
   let compiled =
     Compile_cache.compile ?builtins ?mode ~meter:true ~config ~prog ~func ()
@@ -58,7 +59,7 @@ let evaluate ?builtins ?mode ?(jobs = 1) ~prog ~func ~args config =
      [jobs > 1] they execute on separate domains. *)
   match
     Cheffp_util.Pool.parallel_map ~jobs
-      (fun cfg -> run_with ?builtins ?mode ~prog ~func ~args cfg)
+      (fun cfg -> run ?builtins ?mode ~prog ~func ~args cfg)
       [ Config.double; config ]
   with
   | [ (reference, ref_cost, _); (value, cost, casts) ] ->
@@ -77,64 +78,6 @@ let evaluate ?builtins ?mode ?(jobs = 1) ~prog ~func ~args config =
       ev
   | _ -> assert false
 
-(* Batched evaluation: every chunk's lane sweep carries the all-double
-   reference in lane 0, so each evaluation's actual_error and
-   modelled_speedup come from the same sweep — one batch run replaces
-   |chunk| + 1 scalar runs. The batch artifact and the divergence
-   fallback both go through the compile cache, so a whole session pays
-   one batch compile per (program, func, mode). *)
-let evaluate_many ?builtins ?mode ?(jobs = 1) ?(lanes = Batch.default_lanes)
-    ~prog ~func ~args configs =
-  Trace.with_span "tuner.evaluate_many" @@ fun () ->
-  if Trace.enabled () then begin
-    Trace.add_attr "configs" (Trace.Int (List.length configs));
-    Trace.add_attr "lanes" (Trace.Int lanes)
-  end;
-  let b = Compile_cache.compile_batch ?builtins ?mode ~meter:true ~prog ~func () in
-  let fallback config =
-    Compile_cache.compile ?builtins ?mode ~meter:true ~config ~prog ~func ()
-  in
-  let chunk_size = max 1 (lanes - 1) in
-  let rec chunks = function
-    | [] -> []
-    | l ->
-        let rec take n acc = function
-          | rest when n = 0 -> (List.rev acc, rest)
-          | [] -> (List.rev acc, [])
-          | c :: rest -> take (n - 1) (c :: acc) rest
-        in
-        let h, t = take chunk_size [] l in
-        h :: chunks t
-  in
-  chunks configs
-  |> Cheffp_util.Pool.parallel_map ~jobs (fun chunk ->
-         let cfgs = Array.of_list (Config.double :: chunk) in
-         let counters =
-           Array.init (Array.length cfgs) (fun _ ->
-               Cost.Counter.create Cost.default)
-         in
-         let r = Batch.run ~counters ~fallback b ~configs:cfgs args in
-         let value l =
-           match r.Batch.lanes.(l).Interp.ret with
-           | Some (Builtins.F x) -> x
-           | _ ->
-               invalid_arg "Tuner.evaluate_many: function must return a float"
-         in
-         let reference = value 0 in
-         let ref_cost = Cost.Counter.total counters.(0) in
-         List.mapi
-           (fun i config ->
-             let l = i + 1 in
-             let cost = Cost.Counter.total counters.(l) in
-             {
-               config;
-               actual_error = Float.abs (value l -. reference);
-               modelled_speedup = (if cost > 0. then ref_cost /. cost else 1.);
-               casts = Cost.Counter.casts counters.(l);
-             })
-           chunk)
-  |> List.concat
-
 type outcome = {
   threshold : float;
   demoted : string list;
@@ -144,8 +87,43 @@ type outcome = {
   evaluation : evaluation;
 }
 
+(* The greedy selection shared by [tune] and [tune_multi]. A variable
+   whose observed magnitude approaches the target format's largest
+   finite value would overflow when demoted: it is vetoed outright
+   (first-order error models cannot see overflow). [ranges v] lists
+   every observed range of [v], one per analysed dataset. The rest are
+   demoted in ascending [contribution] order while the accumulated
+   estimate stays within [threshold /. margin]. Returns the outcome
+   without its validation, which the caller runs on [config]. *)
+let select ~target ~margin ~threshold ~ranges ~contribution candidates =
+  let limit = 0.5 *. Fp.max_finite target in
+  let overflows v =
+    List.exists
+      (fun (lo, hi) -> Float.max (Float.abs lo) (Float.abs hi) > limit)
+      (ranges v)
+  in
+  let vetoed, candidates = List.partition overflows candidates in
+  let contributions =
+    List.map (fun v -> (v, contribution v)) candidates
+    |> List.sort (fun (_, a) (_, b) -> compare a b)
+  in
+  let budget = threshold /. margin in
+  let demoted, estimated_error =
+    List.fold_left
+      (fun (chosen, acc) (v, e) ->
+        if acc +. e <= budget then (v :: chosen, acc +. e)
+        else (chosen, acc))
+      ([], 0.) contributions
+  in
+  let demoted = List.rev demoted in
+  let config = Config.demote_all Config.double demoted target in
+  ( config,
+    fun evaluation ->
+      { threshold; demoted; vetoed; estimated_error; contributions; evaluation }
+  )
+
 let tune ?model ?profile ?(target = Fp.F32) ?mode ?builtins ?(margin = 2.0)
-    ?(jobs = 1) ?batch ~prog ~func ~args ~threshold () =
+    ?(jobs = 1) ~prog ~func ~args ~threshold () =
   Trace.with_span "tuner.tune" @@ fun () ->
   if Trace.enabled () then begin
     Trace.add_attr "func" (Trace.Str func);
@@ -156,12 +134,12 @@ let tune ?model ?profile ?(target = Fp.F32) ?mode ?builtins ?(margin = 2.0)
   (* Contribution and range queries come either from a caller-supplied
      error-atom profile — a previous augmented run, answered without any
      new analysis or execution — or from a fresh adapt-model estimate. *)
-  let per_var, range_of =
+  let contribution, ranges =
     match profile with
     | Some p ->
         let eps = Fp.unit_roundoff target in
         ( (fun v -> Profile.atom p v *. eps),
-          fun v -> List.assoc_opt v (Profile.ranges p) )
+          fun v -> Option.to_list (List.assoc_opt v (Profile.ranges p)) )
     | None ->
         let model =
           match model with Some m -> m | None -> Model.adapt ~target ()
@@ -176,46 +154,13 @@ let tune ?model ?profile ?(target = Fp.F32) ?mode ?builtins ?(margin = 2.0)
         ( (fun v ->
             Option.value ~default:0.
               (List.assoc_opt v report.Estimate.per_variable)),
-          fun v -> List.assoc_opt v report.Estimate.ranges )
+          fun v -> Option.to_list (List.assoc_opt v report.Estimate.ranges) )
   in
-  let candidates = float_variables (func_exn prog func) in
-  (* A variable whose observed magnitude approaches the target format's
-     largest finite value would overflow when demoted: veto it outright
-     (first-order error models cannot see overflow). *)
-  let limit = 0.5 *. Fp.max_finite target in
-  let overflows v =
-    match range_of v with
-    | Some (lo, hi) -> Float.max (Float.abs lo) (Float.abs hi) > limit
-    | None -> false
+  let config, outcome =
+    select ~target ~margin ~threshold ~ranges ~contribution
+      (float_variables (func_exn prog func))
   in
-  let vetoed = List.filter overflows candidates in
-  let candidates = List.filter (fun v -> not (overflows v)) candidates in
-  let contributions =
-    List.map (fun v -> (v, per_var v)) candidates
-    |> List.sort (fun (_, a) (_, b) -> compare a b)
-  in
-  let budget = threshold /. margin in
-  let demoted, estimated_error =
-    List.fold_left
-      (fun (chosen, acc) (v, e) ->
-        if acc +. e <= budget then (v :: chosen, acc +. e)
-        else (chosen, acc))
-      ([], 0.) contributions
-  in
-  let demoted = List.rev demoted in
-  let config = Config.demote_all Config.double demoted target in
-  let evaluation =
-    match batch with
-    | Some lanes when lanes > 1 -> (
-        match
-          evaluate_many ?builtins ?mode ~jobs ~lanes ~prog ~func ~args
-            [ config ]
-        with
-        | [ ev ] -> ev
-        | _ -> assert false)
-    | _ -> evaluate ?builtins ?mode ~jobs ~prog ~func ~args config
-  in
-  { threshold; demoted; vetoed; estimated_error; contributions; evaluation }
+  outcome (evaluate ?builtins ?mode ~jobs ~prog ~func ~args config)
 
 (* Multi-dataset tuning (paper SS V-B: "it is important to analyze the
    application over a representative set of inputs"): contributions are
@@ -237,41 +182,20 @@ let tune_multi ?model ?(target = Fp.F32) ?mode ?builtins ?(margin = 2.0)
       ~prog ~func ()
   in
   let reports = List.map (fun args -> Estimate.run est args) args_list in
-  let candidates = float_variables (func_exn prog func) in
-  let limit = 0.5 *. Fp.max_finite target in
-  let overflows v =
-    List.exists
-      (fun r ->
-        match List.assoc_opt v r.Estimate.ranges with
-        | Some (lo, hi) -> Float.max (Float.abs lo) (Float.abs hi) > limit
-        | None -> false)
-      reports
-  in
-  let vetoed = List.filter overflows candidates in
-  let candidates = List.filter (fun v -> not (overflows v)) candidates in
-  let contributions =
-    List.map
-      (fun v ->
-        ( v,
-          List.fold_left
-            (fun acc r ->
-              Float.max acc
-                (Option.value ~default:0.
-                   (List.assoc_opt v r.Estimate.per_variable)))
-            0. reports ))
-      candidates
-    |> List.sort (fun (_, a) (_, b) -> compare a b)
-  in
-  let budget = threshold /. margin in
-  let demoted, estimated_error =
+  let contribution v =
     List.fold_left
-      (fun (chosen, acc) (v, e) ->
-        if acc +. e <= budget then (v :: chosen, acc +. e)
-        else (chosen, acc))
-      ([], 0.) contributions
+      (fun acc r ->
+        Float.max acc
+          (Option.value ~default:0. (List.assoc_opt v r.Estimate.per_variable)))
+      0. reports
   in
-  let demoted = List.rev demoted in
-  let config = Config.demote_all Config.double demoted target in
+  let ranges v =
+    List.filter_map (fun r -> List.assoc_opt v r.Estimate.ranges) reports
+  in
+  let config, outcome =
+    select ~target ~margin ~threshold ~ranges ~contribution
+      (float_variables (func_exn prog func))
+  in
   let evaluations =
     (* Datasets fan out across domains; each evaluation stays sequential
        inside so one tuning run never nests domain pools. *)
@@ -281,10 +205,7 @@ let tune_multi ?model ?(target = Fp.F32) ?mode ?builtins ?(margin = 2.0)
   in
   let worst =
     List.fold_left
-      (fun acc ev ->
-        if ev.actual_error > acc.actual_error then ev else acc)
+      (fun acc ev -> if ev.actual_error > acc.actual_error then ev else acc)
       (List.hd evaluations) evaluations
   in
-  ( { threshold; demoted; vetoed; estimated_error; contributions;
-      evaluation = worst },
-    evaluations )
+  (outcome worst, evaluations)

@@ -31,34 +31,24 @@ val evaluate :
   Config.t ->
   evaluation
 (** Run the function under [config] and under all-double and compare.
-    The function must return a float. Compilations are memoized in
-    {!Compile_cache} (metered, counters threaded per run); with
-    [jobs > 1] the two runs execute on separate domains — results are
+    The function must return a float. Both are {!run}s; with
+    [jobs > 1] they execute on separate domains — results are
     bit-identical either way. *)
 
-val evaluate_many :
+val run :
   ?builtins:Builtins.t ->
   ?mode:Config.rounding_mode ->
-  ?jobs:int ->
-  ?lanes:int ->
   prog:Ast.program ->
   func:string ->
   args:Interp.arg list ->
-  Config.t list ->
-  evaluation list
-(** Evaluate many candidate configurations in lane-parallel sweeps
-    ({!Cheffp_ir.Batch}): the configurations are chunked into groups of
-    [lanes - 1] (default {!Cheffp_ir.Batch.default_lanes}), each group
-    runs as one metered sweep with the all-double reference in lane 0,
-    and chunks fan out over [jobs] domains (default 1). One sweep
-    replaces |group| + 1 scalar compile+run pairs; the batch artifact
-    is memoized config-independently in {!Compile_cache}
-    ({!Compile_cache.compile_batch}). [actual_error] values are
-    bit-identical to per-config {!evaluate} calls; modelled costs
-    reflect the shared conservatively-optimized body (see
-    {!Cheffp_ir.Batch.run}), which coincides with the scalar model on
-    programs without literal identity operations. Order follows the
-    input list. *)
+  Config.t ->
+  float * float * int
+(** One metered scalar run of the float-returning function under
+    [config], on a copy of [args]: [(value, modelled cost, casts)].
+    The compilation is memoized in {!Compile_cache} (metered, counter
+    threaded per run), so one cached instance serves every
+    configuration revisited by {!evaluate} and by {!Search.tune}'s
+    candidate runs. Traced as a [run] span. *)
 
 type outcome = {
   threshold : float;
@@ -82,7 +72,6 @@ val tune :
   ?builtins:Builtins.t ->
   ?margin:float ->
   ?jobs:int ->
-  ?batch:int ->
   prog:Ast.program ->
   func:string ->
   args:Interp.arg list ->
@@ -98,9 +87,7 @@ val tune :
     the first-order model charges one rounding per assignment, while
     [Source]-mode execution rounds every operation, so selections
     exactly at the threshold can overshoot slightly. [jobs] (default 1)
-    is forwarded to the validating {!evaluate}. [batch] ([Some k],
-    [k >= 2]) routes that validation through {!evaluate_many} instead —
-    one two-lane sweep rather than two scalar runs.
+    is forwarded to the validating {!evaluate}.
 
     [profile], when given, replaces the fresh analysis entirely
     ([model] is then ignored): contributions are the profile's
@@ -133,7 +120,8 @@ val tune_multi :
     variable's contribution is its worst case across the datasets, the
     overflow veto considers every observed range, and the returned
     outcome embeds the worst-case validation (all per-dataset
-    evaluations are also returned); with [jobs > 1] the datasets are
-    validated on separate domains (each evaluation sequential inside),
-    with bit-identical results. @raise Invalid_argument on an empty
-    dataset list. *)
+    evaluations are also returned). The greedy selection is {!tune}'s,
+    over those worst cases. With [jobs > 1] the datasets are validated
+    on separate domains (each evaluation sequential inside), with
+    bit-identical results. @raise Invalid_argument on an empty dataset
+    list. *)

@@ -2,6 +2,10 @@ module Batch = Cheffp_ir.Batch
 module Export = Cheffp_obs.Export
 module Trace = Cheffp_obs.Trace
 module Compile_cache = Cheffp_ir.Compile_cache
+module Ast = Cheffp_ir.Ast
+module Interp = Cheffp_ir.Interp
+module Config = Cheffp_precision.Config
+module Fp = Cheffp_precision.Fp
 
 type cmd =
   | Ping
@@ -79,6 +83,65 @@ type request = {
   box : string option;  (* range: box override spec, CLI --box *)
   range_backend : string;  (* range: "bb" (default) | "whole" *)
 }
+
+(* The string syntax of request fields and CLI flags, in one place: the
+   server's handlers and bin/cheffp.ml both parse through these, so a
+   request and its one-shot invocation resolve to the same values and
+   fail with the same messages. *)
+
+let target_of s =
+  match Fp.format_of_string s with
+  | Some f -> f
+  | None -> failwith ("unknown format " ^ s)
+
+let model_of_string target = function
+  | "taylor" -> Cheffp_core.Model.taylor ~target ()
+  | "adapt" -> Cheffp_core.Model.adapt ~target ()
+  | "zero" -> Cheffp_core.Model.zero
+  | other -> failwith ("unknown model " ^ other ^ " (taylor|adapt|zero)")
+
+let strategy_of s =
+  match Cheffp_core.Search.strategy_of_string s with
+  | Some st -> st
+  | None -> failwith ("unknown strategy " ^ s ^ " (measured|modelled|hybrid)")
+
+let mode_of_string = function
+  | "extended" -> Config.Extended
+  | "source" -> Config.Source
+  | other -> failwith ("unknown mode " ^ other ^ " (extended|source)")
+
+let batch_of ~batch ~no_batch =
+  if no_batch || batch < 2 then None else Some batch
+
+let parse_args func (raw : string list) =
+  let f p s =
+    match p.Ast.pty with
+    | Ast.Tscalar Ast.Sint -> Interp.Aint (int_of_string s)
+    | Ast.Tscalar (Ast.Sflt _) -> Interp.Aflt (float_of_string s)
+    | Ast.Tarr (Ast.Sflt _) ->
+        Interp.Afarr
+          (Array.of_list (List.map float_of_string (String.split_on_char ':' s)))
+    | Ast.Tarr Ast.Sint ->
+        Interp.Aiarr
+          (Array.of_list (List.map int_of_string (String.split_on_char ':' s)))
+  in
+  let params = List.filter (fun p -> p.Ast.pmode = Ast.In) func.Ast.params in
+  if List.length params <> List.length raw then
+    failwith
+      (Printf.sprintf "function %S expects %d arguments, got %d" func.Ast.fname
+         (List.length params) (List.length raw));
+  List.map2 f params raw
+
+let parse_config demote =
+  List.fold_left
+    (fun cfg spec ->
+      match String.split_on_char ':' spec with
+      | [ var; fmt ] -> (
+          match Fp.format_of_string fmt with
+          | Some f -> Config.demote cfg var f
+          | None -> failwith ("unknown format " ^ fmt))
+      | _ -> failwith ("bad demotion spec " ^ spec ^ " (expected var:fmt)"))
+    Config.double demote
 
 let parse_request line =
   match Json.of_string line with

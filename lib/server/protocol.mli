@@ -47,7 +47,9 @@ type request = {
   prune_margin : float;  (** search hybrid margin, default 64. *)
   profiled : bool;  (** tune from a cached error-atom profile *)
   jobs : int;  (** inner evaluation parallelism, default 1 *)
-  batch : int;  (** lane width, default {!Cheffp_ir.Batch.default_lanes} *)
+  batch : int;
+      (** search/sample lane width, default
+          {!Cheffp_ir.Batch.default_lanes}; tune validates scalar *)
   no_batch : bool;
   tenant : string option;  (** cache attribution label *)
   priority : int;  (** admission priority, higher first, default 0 *)
@@ -80,6 +82,39 @@ type request = {
 val parse_request : string -> (request, string) result
 (** Decode one request line. Unknown fields are ignored; missing
     optional fields take the CLI defaults listed above. *)
+
+(** {1 Field syntax}
+
+    The parsers behind both request fields and the CLI's flags, so a
+    request and its one-shot invocation resolve to the same values and
+    fail with the same [Failure] messages. *)
+
+val target_of : string -> Cheffp_precision.Fp.format
+(** ["f32"], ["f16"], ... ({!Cheffp_precision.Fp.format_of_string});
+    [Failure "unknown format <s>"] otherwise. *)
+
+val model_of_string :
+  Cheffp_precision.Fp.format -> string -> Cheffp_core.Model.t
+(** ["taylor"], ["adapt"] (both at the given target) or ["zero"]. *)
+
+val strategy_of : string -> Cheffp_core.Search.strategy
+(** {!Cheffp_core.Search.strategy_of_string}, failing on anything else. *)
+
+val mode_of_string : string -> Cheffp_precision.Config.rounding_mode
+(** ["extended"] or ["source"]. *)
+
+val batch_of : batch:int -> no_batch:bool -> int option
+(** The lane width [batch] unless [no_batch] (or a width below 2)
+    turns lane batching off. *)
+
+val parse_args :
+  Cheffp_ir.Ast.func -> string list -> Cheffp_ir.Interp.arg list
+(** Positional arguments typed by the function's [in] parameters:
+    scalars as literals, arrays as colon-separated lists
+    ([1.5:2.5:3.5]). Fails on an arity mismatch. *)
+
+val parse_config : string list -> Cheffp_precision.Config.t
+(** [var:fmt] demotions applied to all-double, in order. *)
 
 type cache_summary = { c_hits : int; c_misses : int }
 

@@ -46,60 +46,6 @@ type t = {
   mutable conns : int;
 }
 
-(* ------------------------------------------------------------------ *)
-(* CLI-equivalent helpers. These mirror bin/cheffp.ml exactly — same
-   parsing, same defaults — which is what makes a server response
-   bit-identical to the corresponding one-shot invocation. *)
-
-let target_of s =
-  match Fp.format_of_string s with
-  | Some f -> f
-  | None -> failwith ("unknown format " ^ s)
-
-let model_of_string target = function
-  | "taylor" -> Model.taylor ~target ()
-  | "adapt" -> Model.adapt ~target ()
-  | "zero" -> Model.zero
-  | other -> failwith ("unknown model " ^ other ^ " (taylor|adapt|zero)")
-
-let parse_args func (raw : string list) =
-  let f p s =
-    match p.Ast.pty with
-    | Ast.Tscalar Ast.Sint -> Interp.Aint (int_of_string s)
-    | Ast.Tscalar (Ast.Sflt _) -> Interp.Aflt (float_of_string s)
-    | Ast.Tarr (Ast.Sflt _) ->
-        Interp.Afarr
-          (Array.of_list (List.map float_of_string (String.split_on_char ':' s)))
-    | Ast.Tarr Ast.Sint ->
-        Interp.Aiarr
-          (Array.of_list (List.map int_of_string (String.split_on_char ':' s)))
-  in
-  let params = List.filter (fun p -> p.Ast.pmode = Ast.In) func.Ast.params in
-  if List.length params <> List.length raw then
-    failwith
-      (Printf.sprintf "function %S expects %d arguments, got %d" func.Ast.fname
-         (List.length params) (List.length raw));
-  List.map2 f params raw
-
-let parse_config demote =
-  List.fold_left
-    (fun cfg spec ->
-      match String.split_on_char ':' spec with
-      | [ var; fmt ] -> (
-          match Fp.format_of_string fmt with
-          | Some f -> Config.demote cfg var f
-          | None -> failwith ("unknown format " ^ fmt))
-      | _ -> failwith ("bad demotion spec " ^ spec ^ " (expected var:fmt)"))
-    Config.double demote
-
-let batch_of (req : Protocol.request) =
-  if req.no_batch || req.batch < 2 then None else Some req.batch
-
-let strategy_of s =
-  match Search.strategy_of_string s with
-  | Some st -> st
-  | None -> failwith ("unknown strategy " ^ s ^ " (measured|modelled|hybrid)")
-
 let require_threshold (req : Protocol.request) =
   match req.threshold with
   | Some t -> t
@@ -129,14 +75,14 @@ let strings l = Json.List (List.map (fun s -> Json.Str s) l)
 let handle_analyze t (req : Protocol.request) =
   let prog = load t req.program in
   let f = Ast.func_exn prog req.func in
-  let target = target_of req.target in
-  let model = model_of_string target req.model in
+  let target = Protocol.target_of req.target in
+  let model = Protocol.model_of_string target req.model in
   let est =
     Estimate.estimate_error ~model ~deriv:t.deriv ~builtins:t.builtins
       ~options:{ Estimate.default_options with track_ranges = true }
       ~prog ~func:req.func ()
   in
-  let args = parse_args f req.args in
+  let args = Protocol.parse_args f req.args in
   let r = Estimate.run est args in
   ( Json.Obj
       [
@@ -152,16 +98,16 @@ let handle_tune t (req : Protocol.request) =
   let threshold = require_threshold req in
   let prog = load t req.program in
   let f = Ast.func_exn prog req.func in
-  let args = parse_args f req.args in
-  let target = target_of req.target in
+  let args = Protocol.parse_args f req.args in
+  let target = Protocol.target_of req.target in
   let profile =
     if req.profiled then
       Some (Profile.build_cached ~builtins:t.builtins ~prog ~func:req.func ~args ())
     else None
   in
   let o =
-    Tuner.tune ?profile ~target ~builtins:t.builtins ~jobs:req.jobs
-      ?batch:(batch_of req) ~prog ~func:req.func ~args ~threshold ()
+    Tuner.tune ?profile ~target ~builtins:t.builtins ~jobs:req.jobs ~prog
+      ~func:req.func ~args ~threshold ()
   in
   ( Json.Obj
       [
@@ -204,14 +150,14 @@ let handle_sample t (req : Protocol.request) =
   if req.samples < 1 then failwith "sample: \"samples\" must be >= 1";
   let prog = load t req.program in
   let f = Ast.func_exn prog req.func in
-  let args = parse_args f req.args in
-  let config = parse_config req.demote in
+  let args = Protocol.parse_args f req.args in
+  let config = Protocol.parse_config req.demote in
   let plan = sampling_plan req f args in
   let inputs =
     Sampling.draw_many plan ~seed:(Int64.of_int req.seed) req.samples
   in
   attribute_samples req req.samples;
-  let lanes = batch_of req in
+  let lanes = Protocol.batch_of ~batch:req.batch ~no_batch:req.no_batch in
   let summary, _ =
     Sampling.measured_summary ~jobs:req.jobs ?lanes ~builtins:t.builtins
       ~prog ~func:req.func ~config inputs
@@ -241,8 +187,8 @@ let handle_search t (req : Protocol.request) =
   let threshold = require_threshold req in
   let prog = load t req.program in
   let f = Ast.func_exn prog req.func in
-  let args = parse_args f req.args in
-  let target = target_of req.target in
+  let args = Protocol.parse_args f req.args in
+  let target = Protocol.target_of req.target in
   let measure config =
     Shadow.measured_error
       (Shadow.run ~builtins:t.builtins ~config ~mode:Config.Source ~prog
@@ -263,9 +209,10 @@ let handle_search t (req : Protocol.request) =
   in
   let o =
     Search.tune ~target ~builtins:t.builtins ~jobs:req.jobs
-      ~strategy:(strategy_of req.strategy) ~prune_margin:req.prune_margin
-      ?batch:(batch_of req) ?sampling ~measure ~prog ~func:req.func ~args
-      ~threshold ()
+      ~strategy:(Protocol.strategy_of req.strategy)
+      ~prune_margin:req.prune_margin
+      ?batch:(Protocol.batch_of ~batch:req.batch ~no_batch:req.no_batch)
+      ?sampling ~measure ~prog ~func:req.func ~args ~threshold ()
   in
   ( Json.Obj
       [
@@ -289,14 +236,9 @@ let handle_search t (req : Protocol.request) =
 let handle_validate t (req : Protocol.request) =
   let prog = load t req.program in
   let f = Ast.func_exn prog req.func in
-  let args = parse_args f req.args in
-  let config = parse_config req.demote in
-  let mode =
-    match req.mode with
-    | "extended" -> Config.Extended
-    | "source" -> Config.Source
-    | other -> failwith ("unknown mode " ^ other ^ " (extended|source)")
-  in
+  let args = Protocol.parse_args f req.args in
+  let config = Protocol.parse_config req.demote in
+  let mode = Protocol.mode_of_string req.mode in
   let v =
     Oracle.check_estimate ~builtins:t.builtins ~mode ~margin:req.margin
       ~fuel:(-1) ~prog ~func:req.func ~config args
@@ -328,8 +270,8 @@ let range_split_c = Metrics.counter "range.split"
 let handle_range t (req : Protocol.request) =
   let prog = load t req.program in
   let f = Ast.func_exn prog req.func in
-  let args = parse_args f req.args in
-  let target = target_of req.target in
+  let args = Protocol.parse_args f req.args in
+  let target = Protocol.target_of req.target in
   let box = Rbox.of_args ~func:f ~args () in
   let box =
     match req.box with

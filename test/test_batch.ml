@@ -302,33 +302,7 @@ let test_run_many () =
     [ (1, 2); (2, 2); (1, 8); (2, 1) ]
 
 (* ------------------------------------------------------------------ *)
-(* Wiring: batched Search/Tuner agree with their scalar paths.        *)
-
-let test_evaluate_many () =
-  let prog = parse conform_src in
-  let args = [ Interp.Aflt 1.7; Interp.Aint 20 ] in
-  let configs =
-    [
-      Config.demote Config.double "t" Fp.F32;
-      Config.demote_all Config.double [ "s"; "t"; "u" ] Fp.F32;
-      Config.demote Config.double "u" Fp.F16;
-    ]
-  in
-  let batched =
-    Cheffp_core.Tuner.evaluate_many ~lanes:3 ~prog ~func:"kernel" ~args configs
-  in
-  List.iter2
-    (fun config ev ->
-      let s = Cheffp_core.Tuner.evaluate ~prog ~func:"kernel" ~args config in
-      Alcotest.(check (float 0.))
-        "actual_error" s.Cheffp_core.Tuner.actual_error
-        ev.Cheffp_core.Tuner.actual_error;
-      Alcotest.(check (float 0.))
-        "modelled_speedup" s.Cheffp_core.Tuner.modelled_speedup
-        ev.Cheffp_core.Tuner.modelled_speedup;
-      Alcotest.(check int) "casts" s.Cheffp_core.Tuner.casts
-        ev.Cheffp_core.Tuner.casts)
-    configs batched
+(* Wiring: batched Search agrees with its scalar path.                 *)
 
 let test_search_batched () =
   let prog = parse conform_src in
@@ -428,8 +402,6 @@ let () =
           Alcotest.test_case "array writes after split" `Quick
             test_array_writes_after_split;
           Alcotest.test_case "run_many chunking" `Quick test_run_many;
-          Alcotest.test_case "evaluate_many = evaluate" `Quick
-            test_evaluate_many;
           Alcotest.test_case "batched search = scalar search" `Quick
             test_search_batched;
         ] );

@@ -27,10 +27,10 @@ func looped(x: f64, n: int): f64 {
 }
 |}
 
-let with_temp_file f =
+let with_temp_file ?(src = source) f =
   let path = Filename.temp_file "cheffp_cli" ".mfp" in
   let oc = open_out path in
-  output_string oc source;
+  output_string oc src;
   close_out oc;
   Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
 
@@ -114,6 +114,61 @@ let test_tune_and_emit () =
       Alcotest.(check bool) "rewritten source printed" true
         (contains out "func looped_mixed"))
 
+(* Literal identity operations ([+ 0.0], [* 1.0]) are where an
+   optimized shared body and the scalar compilation model different
+   costs. [tune] must report the speedup and casts of {!Tuner.evaluate}
+   for the configuration it prints. *)
+let literal_identity_source =
+  {|
+func litid(x: f64, y: f64): f64 {
+  var a: f64 = x * y + 0.0;
+  var b: f64 = a * 1.0 + y;
+  var c: f64 = b * b - x;
+  return c;
+}
+|}
+
+let test_tune_reports_evaluate () =
+  with_temp_file ~src:literal_identity_source (fun path ->
+      let code, out =
+        run_cli
+          [ "tune"; path; "--func"; "litid"; "--threshold"; "1e-3"; "1.5";
+            "2.5" ]
+      in
+      Alcotest.(check int) "exit 0" 0 code;
+      let prefix = "configuration: " in
+      let line =
+        List.find
+          (fun l -> String.starts_with ~prefix l)
+          (String.split_on_char '\n' out)
+      in
+      let config =
+        String.split_on_char ' '
+          (String.sub line (String.length prefix)
+             (String.length line - String.length prefix))
+        |> List.fold_left
+             (fun cfg spec ->
+               match String.split_on_char ':' spec with
+               | [ var; fmt ] ->
+                   Cheffp_precision.Config.demote cfg var
+                     (Option.get (Cheffp_precision.Fp.format_of_string fmt))
+               | _ -> cfg)
+             Cheffp_precision.Config.double
+      in
+      Alcotest.(check bool) "something demoted" true
+        (config <> Cheffp_precision.Config.double);
+      let prog = Cheffp_ir.Parser.parse_program literal_identity_source in
+      let ev =
+        Cheffp_core.Tuner.evaluate ~prog ~func:"litid"
+          ~args:[ Cheffp_ir.Interp.Aflt 1.5; Cheffp_ir.Interp.Aflt 2.5 ]
+          config
+      in
+      let expected =
+        Printf.sprintf "modelled speedup: %.2fx, implicit casts: %d"
+          ev.Cheffp_core.Tuner.modelled_speedup ev.Cheffp_core.Tuner.casts
+      in
+      Alcotest.(check bool) (expected ^ " printed") true (contains out expected))
+
 let test_search () =
   with_temp_file (fun path ->
       let code, out =
@@ -157,6 +212,8 @@ let () =
           Alcotest.test_case "gradient" `Quick test_gradient;
           Alcotest.test_case "analyze" `Quick test_analyze;
           Alcotest.test_case "tune --emit" `Quick test_tune_and_emit;
+          Alcotest.test_case "tune reports its evaluation" `Quick
+            test_tune_reports_evaluate;
           Alcotest.test_case "search" `Quick test_search;
           Alcotest.test_case "sensitivity" `Quick test_sensitivity;
           Alcotest.test_case "errors" `Quick test_errors_reported;

@@ -171,6 +171,103 @@ let test_hybrid_bit_identical () =
         (workloads ()))
     [ None; Some Batch.default_lanes ]
 
+(* Every answer-and-cost field of the default search on the five
+   workloads, pinned: point and sampled (p99 over 16 inputs drawn from
+   the default box), scalar and lane-batched. A change to how
+   candidates are evaluated must reproduce these bit for bit. Columns:
+   workload, sampled, batched, demoted, executions, batched_runs,
+   runs_avoided, then the final evaluation's config, actual_error,
+   modelled_speedup and casts. *)
+let pinned_outcomes =
+  [
+    ("arclength", false, false, [ "p2"; "d"; "fx"; "t2"; "h"; "x" ], 15, 0, 1, "default=f64 d:f32 fx:f32 h:f32 p2:f32 t2:f32 x:f32", 0x1.094cd74p-23, 0x1.b10c2cfec3e23p+0, 34002);
+    ("simpsons", false, false, [ "a"; "b"; "h" ], 9, 0, 1, "default=f64 a:f32 b:f32 h:f32", 0x1.580cp-38, 0x1.ef9293ce3c13p-1, 8002);
+    ("kmeans", false, false, [ "attributes" ], 9, 0, 1, "default=f64 attributes:f32", 0x0p+0, 0x1.e23b88ee23b89p-1, 6000);
+    ("blackscholes", false, false, [ "d1"; "lsk" ], 18, 0, 1, "default=f64 d1:f32 lsk:f32", 0x1.d8p-39, 0x1.093568fa798ddp+0, 5);
+    ("hpccg", false, false, [ "vals"; "b"; "normr"; "oldrtrans"; "beta"; "alpha"; "rtrans" ], 24, 0, 1, "default=f64 alpha:f32 b:f32 beta:f32 normr:f32 oldrtrans:f32 rtrans:f32 vals:f32", 0x1.cp-40, 0x1.c362efc05057p-1, 32938);
+    ("arclength", false, true, [ "p2"; "d"; "fx"; "t2"; "h"; "x" ], 15, 2, 1, "default=f64 d:f32 fx:f32 h:f32 p2:f32 t2:f32 x:f32", 0x1.094cd74p-23, 0x1.b10c2cfec3e23p+0, 34002);
+    ("simpsons", false, true, [ "a"; "b"; "h" ], 9, 2, 1, "default=f64 a:f32 b:f32 h:f32", 0x1.580cp-38, 0x1.ef9293ce3c13p-1, 8002);
+    ("kmeans", false, true, [ "attributes" ], 9, 1, 1, "default=f64 attributes:f32", 0x0p+0, 0x1.e23b88ee23b89p-1, 6000);
+    ("blackscholes", false, true, [ "d1"; "lsk" ], 18, 3, 1, "default=f64 d1:f32 lsk:f32", 0x1.d8p-39, 0x1.093568fa798ddp+0, 5);
+    ("hpccg", false, true, [ "vals"; "b"; "normr"; "oldrtrans"; "beta"; "alpha"; "rtrans" ], 24, 4, 1, "default=f64 alpha:f32 b:f32 beta:f32 normr:f32 oldrtrans:f32 rtrans:f32 vals:f32", 0x1.cp-40, 0x1.c362efc05057p-1, 32938);
+    ("arclength", true, false, [ "p2"; "d"; "fx"; "t2"; "h"; "x" ], 15, 30, 1, "default=f64 d:f32 fx:f32 h:f32 p2:f32 t2:f32 x:f32", 0x1.094cd74p-23, 0x1.b10c2cfec3e23p+0, 34002);
+    ("simpsons", true, false, [  ], 6, 12, 1, "default=f64", 0x0p+0, 0x1p+0, 0);
+    ("kmeans", true, false, [  ], 8, 16, 1, "default=f64", 0x0p+0, 0x1p+0, 0);
+    ("blackscholes", true, false, [ "d1"; "lsk" ], 18, 36, 1, "default=f64 d1:f32 lsk:f32", 0x1.d8p-39, 0x1.093568fa798ddp+0, 5);
+    ("hpccg", true, false, [ "normr" ], 15, 30, 1, "default=f64 normr:f32", 0x0p+0, 0x1p+0, 0);
+    ("arclength", true, true, [ "p2"; "d"; "fx"; "t2"; "h"; "x" ], 15, 30, 1, "default=f64 d:f32 fx:f32 h:f32 p2:f32 t2:f32 x:f32", 0x1.094cd74p-23, 0x1.b10c2cfec3e23p+0, 34002);
+    ("simpsons", true, true, [  ], 6, 12, 1, "default=f64", 0x0p+0, 0x1p+0, 0);
+    ("kmeans", true, true, [  ], 8, 16, 1, "default=f64", 0x0p+0, 0x1p+0, 0);
+    ("blackscholes", true, true, [ "d1"; "lsk" ], 18, 36, 1, "default=f64 d1:f32 lsk:f32", 0x1.d8p-39, 0x1.093568fa798ddp+0, 5);
+    ("hpccg", true, true, [ "normr" ], 15, 30, 1, "default=f64 normr:f32", 0x0p+0, 0x1p+0, 0);
+  ]
+
+let test_search_outcomes_pinned () =
+  List.iter
+    (fun (sampled, batch) ->
+      List.iter
+        (fun (name, prog, func, args, threshold) ->
+          let sampling =
+            if sampled then
+              let plan =
+                Cheffp_core.Sampling.plan ~func:(Ast.func_exn prog func) ~args
+                  ()
+              in
+              Some
+                {
+                  Search.inputs =
+                    Cheffp_core.Sampling.draw_many plan ~seed:42L 16;
+                  quantile = 0.99;
+                }
+            else None
+          in
+          let o = Search.tune ?batch ?sampling ~prog ~func ~args ~threshold () in
+          let ( _,
+                _,
+                _,
+                demoted,
+                executions,
+                batched_runs,
+                runs_avoided,
+                config,
+                actual_error,
+                modelled_speedup,
+                casts ) =
+            List.find
+              (fun (n, s, b, _, _, _, _, _, _, _, _) ->
+                n = name && s = sampled && b = (batch <> None))
+              pinned_outcomes
+          in
+          let label f =
+            Printf.sprintf "%s (%s, %s): %s" name
+              (if sampled then "sampled" else "point")
+              (if batch = None then "scalar" else "batched")
+              f
+          in
+          let ev = o.Search.evaluation in
+          Alcotest.(check (list string)) (label "demoted") demoted
+            o.Search.demoted;
+          Alcotest.(check int) (label "executions") executions
+            o.Search.executions;
+          Alcotest.(check int) (label "batched_runs") batched_runs
+            o.Search.batched_runs;
+          Alcotest.(check int) (label "runs_avoided") runs_avoided
+            o.Search.runs_avoided;
+          Alcotest.(check string) (label "config") config
+            (Config.to_string ev.Cheffp_core.Tuner.config);
+          Alcotest.(check (float 0.)) (label "actual_error") actual_error
+            ev.Cheffp_core.Tuner.actual_error;
+          Alcotest.(check (float 0.)) (label "modelled_speedup")
+            modelled_speedup ev.Cheffp_core.Tuner.modelled_speedup;
+          Alcotest.(check int) (label "casts") casts ev.Cheffp_core.Tuner.casts)
+        (workloads ()))
+    [
+      (false, None);
+      (false, Some Batch.default_lanes);
+      (true, None);
+      (true, Some Batch.default_lanes);
+    ]
+
 (* `Modelled executes no candidates, and its chosen configuration both
    meets the threshold in the measured evaluation and validates against
    the double-double shadow oracle (margin 2: the tuner's documented
@@ -210,6 +307,8 @@ let () =
             test_hybrid_bit_identical;
           Alcotest.test_case "modelled sound on the paper benchmarks" `Quick
             test_modelled_sound;
+          Alcotest.test_case "search outcomes pinned" `Quick
+            test_search_outcomes_pinned;
         ] );
       ( "fuzz",
         [ QCheck_alcotest.to_alcotest fuzz_score_matches_taylor ] );

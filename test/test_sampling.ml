@@ -10,6 +10,7 @@ module Config = Cheffp_precision.Config
 module Fp = Cheffp_precision.Fp
 module Sampling = Cheffp_core.Sampling
 module Quantile = Cheffp_core.Quantile
+module Trace = Cheffp_obs.Trace
 
 let parse src =
   let prog = Parser.parse_program src in
@@ -289,6 +290,44 @@ let test_measured_errors_reference_sharing () =
     (Array.fold_left Float.max 0. errs)
     summary.Quantile.max
 
+(* The input axis and the configuration axis share one batch
+   artifact: after a sampled sweep and a lane-batched point search on
+   the same (program, func, mode), exactly one batch compilation was
+   built and the cache still serves it. Compile spans of scalar
+   artifacts carry a [config] attribute; batch ones do not. *)
+let test_one_batch_artifact () =
+  let prog = parse plan_src in
+  let inputs = Sampling.draw_many (make_plan ()) ~seed:5L 12 in
+  Compile_cache.clear ();
+  Trace.reset ();
+  Trace.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Trace.set_enabled false;
+      Trace.reset ())
+    (fun () ->
+      ignore
+        (Sampling.sweep ~prog ~func:"kernel" ~config:Config.double inputs);
+      let o =
+        Cheffp_core.Search.tune ~batch:Batch.default_lanes ~prog
+          ~func:"kernel" ~args:base_args ~threshold:1e-12 ()
+      in
+      Alcotest.(check bool) "search swept configurations" true
+        (o.Cheffp_core.Search.batched_runs > 0);
+      let batch_builds =
+        List.filter
+          (fun sp ->
+            sp.Trace.name = "compile"
+            && not (List.mem_assoc "config" sp.Trace.attrs))
+          (Trace.spans ())
+      in
+      Alcotest.(check int) "one batch artifact built" 1
+        (List.length batch_builds);
+      let misses = (Compile_cache.stats ()).Compile_cache.misses in
+      ignore (Compile_cache.compile_batch ~prog ~func:"kernel" ());
+      Alcotest.(check int) "and held" misses
+        (Compile_cache.stats ()).Compile_cache.misses)
+
 (* ------------------------------------------------------------------ *)
 (* Forced divergence: inputs that disagree on a branch split the     *)
 (* sweep, dissenting lanes fall back scalar, results stay identical. *)
@@ -426,6 +465,8 @@ let () =
             test_measured_errors_reference_sharing;
           Alcotest.test_case "divergence fallback" `Quick
             test_input_divergence_fallback;
+          Alcotest.test_case "one batch artifact per program" `Quick
+            test_one_batch_artifact;
         ] );
       ( "fuzz",
         [

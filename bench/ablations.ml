@@ -48,40 +48,79 @@ let inline () =
       ];
     ]
 
-(* Optimizer + closure compiler vs executing the generated adjoint with
-   the tree-walking interpreter, unoptimized: the "generated code is a
-   candidate for compiler optimizations" claim. *)
+(* The optimizer on the generated adjoint, the paper's claim that the
+   inlined error code is optimized together with the adjoint (§III).
+   The five paper kernels at the perfbench sizes under the `cheffp
+   analyze` options (adapt model, attribution and ranges on): median
+   analysis time of [reps] alternating optimizer-on/off runs, each on
+   a collected heap, next to the minor-heap words and value-stack peak
+   of one run and the median build (AD, optimizer, compiler) time. *)
 let opt () =
-  let n = 30_000 in
-  let args = B.Arclength.args ~n in
-  let time_with ~optimize ~interp =
-    let est =
-      E.estimate_error
-        ~options:
-          { E.default_options with E.per_variable = false; E.optimize = optimize }
-        ~prog:B.Arclength.program ~func:B.Arclength.func_name ()
-    in
-    let run () = if interp then E.run_interpreted est args else E.run est args in
-    Gc.compact ();
-    let _, s = Meter.time run in
-    s
-  in
-  let best = time_with ~optimize:true ~interp:false in
-  let noopt = time_with ~optimize:false ~interp:false in
-  let tree = time_with ~optimize:true ~interp:true in
-  let tree_noopt = time_with ~optimize:false ~interp:true in
-  print_endline "\n== Ablation: optimization pipeline on the generated adjoint ==";
-  Table.print
-    ~header:[ "execution"; "optimizer"; "analysis time"; "relative" ]
+  let reps = 11 in
+  let seed = 1L in
+  let kernels =
     [
-      [ "compiled"; "on"; Printf.sprintf "%.3f s" best; "1.00x" ];
-      [ "compiled"; "off"; Printf.sprintf "%.3f s" noopt;
-        Printf.sprintf "%.2fx" (noopt /. best) ];
-      [ "interpreted"; "on"; Printf.sprintf "%.3f s" tree;
-        Printf.sprintf "%.2fx" (tree /. best) ];
-      [ "interpreted"; "off"; Printf.sprintf "%.3f s" tree_noopt;
-        Printf.sprintf "%.2fx" (tree_noopt /. best) ];
+      ("arclength", B.Arclength.program, B.Arclength.func_name, B.Arclength.args ~n:30_000);
+      ( "simpsons", B.Simpsons.program, B.Simpsons.func_name,
+        B.Simpsons.args ~a:0. ~b:Float.pi ~n:100_000 );
+      ( "kmeans", B.Kmeans.program, B.Kmeans.func_name,
+        B.Kmeans.args (B.Kmeans.generate ~seed ~npoints:10_000 ()) );
+      ( "hpccg", B.Hpccg.program, B.Hpccg.func_name,
+        B.Hpccg.args (B.Hpccg.generate ~nx:20 ~ny:30 ~nz:4 ~max_iter:15 ()) );
+      ( "blackscholes", B.Blackscholes.program B.Blackscholes.Exact,
+        B.Blackscholes.func_name,
+        B.Blackscholes.args (B.Blackscholes.generate ~seed ~n:10_000 ()) );
     ]
+  in
+  let options = { E.default_options with E.track_ranges = true } in
+  let median l = Cheffp_util.Stats.median (Array.of_list l) in
+  let ms s = Printf.sprintf "%.1f ms" (1000. *. s) in
+  let rows =
+    List.map
+      (fun (name, prog, func, args) ->
+        let build optimize () =
+          E.estimate_error ~model:(Model.adapt ()) ~options:{ options with E.optimize }
+            ~prog ~func ()
+        in
+        let build_s optimize =
+          median (List.init reps (fun _ -> snd (Meter.time (build optimize))))
+        in
+        let on = build true () and off = build false () in
+        let timed est =
+          let a = Cheffp_ir.Interp.copy_args args in
+          Gc.full_major ();
+          snd (Meter.time (fun () -> E.run est a))
+        in
+        let times = List.init reps (fun _ -> (timed on, timed off)) in
+        let one est =
+          let a = Cheffp_ir.Interp.copy_args args in
+          Gc.full_major ();
+          let w0 = Gc.minor_words () in
+          let r = E.run est a in
+          (r, Gc.minor_words () -. w0)
+        in
+        let r_on, words_on = one on and r_off, words_off = one off in
+        let t_on = median (List.map fst times) and t_off = median (List.map snd times) in
+        [
+          name; ms t_on; ms t_off; Printf.sprintf "%.2fx" (t_off /. t_on);
+          Printf.sprintf "%.2fM" (words_on /. 1e6);
+          Printf.sprintf "%.2fM" (words_off /. 1e6);
+          string_of_int r_on.E.stack_peak_bytes;
+          string_of_int r_off.E.stack_peak_bytes;
+          ms (build_s true); ms (build_s false);
+          (if Int64.equal (Int64.bits_of_float r_on.E.total_error)
+                (Int64.bits_of_float r_off.E.total_error)
+           then "yes" else "NO");
+        ])
+      kernels
+  in
+  print_endline "\n== Ablation: optimizer on the generated adjoint (analyze options) ==";
+  Printf.printf "median of %d alternating runs per setting\n" reps;
+  Table.print
+    ~header:
+      [ "kernel"; "on"; "off"; "off/on"; "words on"; "words off"; "stack on";
+        "stack off"; "build on"; "build off"; "same total" ]
+    rows
 
 (* Source vs extended intermediate rounding (paper SS V-B recommends
    "source"): same tuned configuration, different rounding semantics. *)

@@ -254,6 +254,24 @@ let differentiate ?deriv ?(hooks = no_hooks) ?(use_activity = false)
         | _ -> false)
   in
 
+  (* When the backward sweep reaches a reversed loop, every statement
+     after the loop has been undone, so the state is the one the forward
+     loop left. Bounds that read nothing the body writes therefore
+     evaluate as they did before the forward loop and need no tape.
+     Calls are opaque to [Ast.writes], so a body with one keeps it. *)
+  let bounds_replay lo hi body =
+    let rec has_call = function
+      | Call_stmt _ -> true
+      | If (_, a, b) -> List.exists has_call a || List.exists has_call b
+      | For { body; _ } | While (_, body) -> List.exists has_call body
+      | Decl _ | Assign _ | Return _ | Push _ | Pop _ -> false
+    in
+    (not (List.exists has_call body))
+    &&
+    let written = writes [] body in
+    not (List.exists (fun v -> List.mem v written) (expr_vars (expr_vars [] lo) hi))
+  in
+
   let rec rev_stmts loops stmts =
     let pairs = List.map (rev_stmt loops) stmts in
     ( List.concat_map fst pairs,
@@ -301,6 +319,10 @@ let differentiate ?deriv ?(hooks = no_hooks) ?(use_activity = false)
             Push (Lvar cvar);
           ],
           [ Pop (Lvar cvar); If (Var cvar, bth, bel) ] )
+    | For { var; lo; hi; down; body } when bounds_replay lo hi body ->
+        let fb, bb = rev_stmts (var :: loops) body in
+        ( [ For { var; lo; hi; down; body = fb } ],
+          [ For { var; lo; hi; down = not down; body = bb } ] )
     | For { var; lo; hi; down; body } ->
         let lo_v = gen_int "_lo" and hi_v = gen_int "_hi" in
         let fb, bb = rev_stmts (var :: loops) body in

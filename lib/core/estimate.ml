@@ -124,6 +124,19 @@ let estimate_error_inner ?(model = Model.taylor ())
         Hashtbl.replace ids var id;
         id
   in
+  (* Each registry entry the generated code updates lives in an f64
+     local for the whole run: loaded from its out array in the
+     prologue, stored back once in the epilogue. [slots] lists
+     (array, id, local) in creation order. *)
+  let slots = ref [] in
+  let slot (info : Reverse.info) arr id =
+    match List.find_opt (fun (a, i, _) -> a = arr && i = id) !slots with
+    | Some (_, _, local) -> local
+    | None ->
+        let local = info.Reverse.fresh (Printf.sprintf "%s%d" arr id) in
+        slots := (arr, id, local) :: !slots;
+        local
+  in
   let acc_name = ref None in
   let get_acc (info : Reverse.info) =
     match !acc_name with
@@ -154,7 +167,6 @@ let estimate_error_inner ?(model = Model.taylor ())
     else begin
       let e = info.Reverse.fresh "_e" in
       let id = registry_id ctx.Reverse.lhs_base in
-      let at arr = Idx (arr, Iconst id) and store arr v = Assign (Lidx (arr, Iconst id), v) in
       let contribution =
         match options.accumulation with
         | `Absolute -> Call ("fabs", [ raw ])
@@ -165,13 +177,16 @@ let estimate_error_inner ?(model = Model.taylor ())
         Assign (Lvar acc, Binop (Add, Var acc, Var e));
       ]
       @ (if options.per_variable then
-           [ store tot_param (Binop (Add, at tot_param, Var e)) ]
+           let tot = slot info tot_param id in
+           [ Assign (Lvar tot, Binop (Add, Var tot, Var e)) ]
          else [])
       @ (if options.track_ranges then
            let v = Var ctx.Reverse.value_var in
+           let lo = slot info lo_param id in
+           let hi = slot info hi_param id in
            [
-             If (Binop (Lt, v, at lo_param), [ store lo_param v ], []);
-             If (Binop (Gt, v, at hi_param), [ store hi_param v ], []);
+             If (Binop (Lt, v, Var lo), [ Assign (Lvar lo, v) ], []);
+             If (Binop (Gt, v, Var hi), [ Assign (Lvar hi, v) ], []);
            ]
          else [])
       @
@@ -211,14 +226,20 @@ let estimate_error_inner ?(model = Model.taylor ())
            else []);
       prologue =
         (fun info ->
-          [ Decl { name = get_acc info; dty = Dscalar f64s; init = None } ]);
+          Decl { name = get_acc info; dty = Dscalar f64s; init = None }
+          :: List.rev_map
+               (fun (arr, id, local) ->
+                 Decl
+                   { name = local; dty = Dscalar f64s; init = Some (Idx (arr, Iconst id)) })
+               !slots);
       on_assign;
       epilogue =
         (fun info ->
           let acc = get_acc info in
-          [
-            Assign (Lvar "_fp_error", Binop (Add, Var "_fp_error", Var acc));
-          ]);
+          Assign (Lvar "_fp_error", Binop (Add, Var "_fp_error", Var acc))
+          :: List.rev_map
+               (fun (arr, id, local) -> Assign (Lidx (arr, Iconst id), Var local))
+               !slots);
     }
   in
   let grad =
@@ -246,6 +267,20 @@ let estimate_error_inner ?(model = Model.taylor ())
         Builtins.F s);
   model.Model.setup builtins;
   let f = func_exn prog func in
+  (* Analysis bytes count the top-level scalars the generator declares
+     and the optimizer keeps. The registry slots stand in for the
+     registry arrays, which are not analysis bytes either; temporaries
+     the optimizer names hold values the generated code would otherwise
+     recompute, like registers. *)
+  let counted =
+    List.filter_map
+      (function
+        | Decl { name; dty = Dscalar _; _ }
+          when not (List.exists (fun (_, _, local) -> local = name) !slots) ->
+            Some name
+        | _ -> None)
+      grad.body
+  in
   let grad =
     if options.optimize then
       Trace.with_span "estimate.optimize" (fun () ->
@@ -291,7 +326,9 @@ let estimate_error_inner ?(model = Model.taylor ())
   let scalar_decl_count =
     List.length
       (List.filter
-         (function Decl { dty = Dscalar _; _ } -> true | _ -> false)
+         (function
+           | Decl { name; dty = Dscalar _; _ } -> List.mem name counted
+           | _ -> false)
          grad.body)
   in
   {

@@ -11,9 +11,11 @@
     code: this inlining is the paper's key performance claim.
 
     Per-variable attribution and range tracking are plain stores from
-    the generated code into out-array parameters indexed by a variable
-    id; per-iteration sensitivity tracking is a call into a runtime
-    callback keyed by the loop counter. All are enabled on demand. *)
+    the generated code into f64 locals, one per entry of out-array
+    parameters indexed by a variable id, loaded in the prologue and
+    stored back in the epilogue; per-iteration sensitivity tracking is
+    a call into a runtime callback keyed by the loop counter. All are
+    enabled on demand. *)
 
 open Cheffp_ir
 
@@ -88,7 +90,9 @@ type report = {
   stack_peak_bytes : int;
   analysis_bytes : int;
       (** deterministic peak-memory account: value stacks + adjoint and
-          derivative storage *)
+          derivative storage, the local arrays and the top-level scalars
+          the generator declares and the optimizer keeps (the registry
+          locals and the optimizer's temporaries are not counted) *)
 }
 
 val run : t -> Interp.arg list -> report

@@ -88,35 +88,25 @@ let tune ?(target = Fp.F32) ?mode ?builtins ?(jobs = 1) ?batch ?sampling
   let chosen =
     match strategy with
     | `Modelled ->
-        (* Pure fast path: zero candidate executions. Greedy in
-           ascending-atom order under half the threshold — the same
-           factor-2 headroom {!Tuner.tune}'s default margin budgets for
-           Source-mode rounding the first-order model does not see —
-           with the overflow veto answered from the profile's ranges. *)
+        (* Pure fast path: zero candidate executions. {!Tuner.select} on
+           the profile's atoms, with the factor-2 margin {!Tuner.tune}
+           budgets for Source-mode rounding the first-order model does
+           not see, and the overflow veto read from the profile's
+           ranges. *)
         Trace.with_span "search.model_score" @@ fun () ->
-        let eps = Fp.unit_roundoff target in
-        let budget = threshold /. 2. in
-        let by_atom =
-          List.filter
-            (fun v -> not (Profile.overflows profile ~target v))
-            candidates
-          |> List.sort (fun a b ->
-                 compare (Profile.atom profile a) (Profile.atom profile b))
-        in
+        let eps = Fp.unit_roundoff target and margin = 2. in
         skip (List.length candidates);
         if Trace.enabled () then begin
           Trace.add_attr "scored" (Trace.Int (List.length candidates));
-          Trace.add_attr "budget" (Trace.Float budget)
+          Trace.add_attr "budget" (Trace.Float (threshold /. margin))
         end;
-        let chosen, _ =
-          List.fold_left
-            (fun (acc, spent) v ->
-              let c = Profile.atom profile v *. eps in
-              if spent +. c <= budget then (v :: acc, spent +. c)
-              else (acc, spent))
-            ([], 0.) by_atom
+        let chosen, _, _ =
+          Tuner.select ~target ~margin ~threshold
+            ~ranges:(fun v -> Option.to_list (List.assoc_opt v (Profile.ranges profile)))
+            ~contribution:(fun v -> Profile.atom profile v *. eps)
+            candidates
         in
-        List.rev chosen
+        chosen
     | (`Measured | `Hybrid) as strategy ->
         (* What one candidate configuration's "error" means. Point mode:
            |y_config - y_double| at the single base args. Sampled mode

@@ -93,8 +93,9 @@ type outcome = {
    (first-order error models cannot see overflow). [ranges v] lists
    every observed range of [v], one per analysed dataset. The rest are
    demoted in ascending [contribution] order while the accumulated
-   estimate stays within [threshold /. margin]. Returns the outcome
-   without its validation, which the caller runs on [config]. *)
+   estimate stays within [threshold /. margin]. Returns the demoted
+   variables, their configuration and the outcome without its
+   validation, which the caller runs on that configuration. *)
 let select ~target ~margin ~threshold ~ranges ~contribution candidates =
   let limit = 0.5 *. Fp.max_finite target in
   let overflows v =
@@ -117,7 +118,8 @@ let select ~target ~margin ~threshold ~ranges ~contribution candidates =
   in
   let demoted = List.rev demoted in
   let config = Config.demote_all Config.double demoted target in
-  ( config,
+  ( demoted,
+    config,
     fun evaluation ->
       { threshold; demoted; vetoed; estimated_error; contributions; evaluation }
   )
@@ -156,7 +158,7 @@ let tune ?model ?profile ?(target = Fp.F32) ?mode ?builtins ?(margin = 2.0)
               (List.assoc_opt v report.Estimate.per_variable)),
           fun v -> Option.to_list (List.assoc_opt v report.Estimate.ranges) )
   in
-  let config, outcome =
+  let _, config, outcome =
     select ~target ~margin ~threshold ~ranges ~contribution
       (float_variables (func_exn prog func))
   in
@@ -192,7 +194,7 @@ let tune_multi ?model ?(target = Fp.F32) ?mode ?builtins ?(margin = 2.0)
   let ranges v =
     List.filter_map (fun r -> List.assoc_opt v r.Estimate.ranges) reports
   in
-  let config, outcome =
+  let _, config, outcome =
     select ~target ~margin ~threshold ~ranges ~contribution
       (float_variables (func_exn prog func))
   in

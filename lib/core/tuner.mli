@@ -98,6 +98,23 @@ val tune :
     (or fetched from the cache, {!Profile.build_cached}) serves any
     number of thresholds and targets. *)
 
+val select :
+  target:Fp.format ->
+  margin:float ->
+  threshold:float ->
+  ranges:(string -> (float * float) list) ->
+  contribution:(string -> float) ->
+  string list ->
+  string list * Config.t * (evaluation -> outcome)
+(** {!tune}'s selection over the given candidates, without any
+    execution: a candidate with an observed range ([ranges] lists one
+    per analysed dataset) beyond half of [target]'s largest finite
+    value is vetoed, and the rest are demoted in ascending
+    [contribution] order while the accumulated contribution stays
+    within [threshold /. margin]. Returns the demoted variables in that
+    order, their configuration, and the outcome awaiting the
+    configuration's validation. *)
+
 val float_variables : Ast.func -> string list
 (** The demotion candidates of a function: float parameters, float
     locals, and float arrays, in declaration order. *)

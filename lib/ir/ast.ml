@@ -91,6 +91,31 @@ let add_func prog f = { funcs = prog.funcs @ [ f ] }
 
 let lvalue_base = function Lvar v -> v | Lidx (v, _) -> v
 
+(* Variables an expression reads (the array of an element included),
+   prepended to [acc]. *)
+let rec expr_vars acc = function
+  | Fconst _ | Iconst _ -> acc
+  | Var v -> v :: acc
+  | Idx (a, i) -> expr_vars (a :: acc) i
+  | Unop (_, e) -> expr_vars acc e
+  | Binop (_, a, b) -> expr_vars (expr_vars acc a) b
+  | Call (_, args) -> List.fold_left expr_vars acc args
+
+(* Variables a statement list may write, prepended to [acc]: assignment
+   and pop targets (the base of an array element), declared names and
+   loop counters. Calls are not looked into: after inlining only
+   intrinsics remain, and they write no variable. *)
+let rec writes acc stmts =
+  List.fold_left
+    (fun acc -> function
+      | Decl { name; _ } -> name :: acc
+      | Assign (lv, _) | Pop lv -> lvalue_base lv :: acc
+      | If (_, a, b) -> writes (writes acc a) b
+      | For { var; body; _ } -> writes (var :: acc) body
+      | While (_, body) -> writes acc body
+      | Return _ | Call_stmt _ | Push _ -> acc)
+    acc stmts
+
 (* -------------------------------------------------------------------- *)
 (* Builders: an OCaml eDSL for writing MiniFP programs concisely.       *)
 

@@ -99,35 +99,10 @@ let consensus benv (vals : int array) : int =
 
 type binding = Bf of int | Bi of int | Bfa of int | Bia of int
 
-type scope = { mutable frames : (string * binding) list list }
-
 let scope_find sc name =
-  let rec go = function
-    | [] -> fail "undeclared variable %S" name
-    | frame :: rest -> (
-        match List.assoc_opt name frame with Some b -> b | None -> go rest)
-  in
-  go sc.frames
-
-let scope_find_opt sc name =
-  let rec go = function
-    | [] -> None
-    | frame :: rest -> (
-        match List.assoc_opt name frame with
-        | Some b -> Some b
-        | None -> go rest)
-  in
-  go sc.frames
-
-let scope_push sc = sc.frames <- [] :: sc.frames
-
-let scope_pop sc =
-  match sc.frames with _ :: rest -> sc.frames <- rest | [] -> assert false
-
-let scope_declare sc name b =
-  match sc.frames with
-  | frame :: rest -> sc.frames <- ((name, b) :: frame) :: rest
-  | [] -> assert false
+  match Scope.find_opt sc name with
+  | Some b -> b
+  | None -> fail "undeclared variable %S" name
 
 (* Per-lane static format of a float expression node, as a rule over
    slot formats: the rule DAG is built at compile time (children before
@@ -212,20 +187,15 @@ let compile ?builtins ?(mode = Config.Source) ?(meter = false)
   let rules_rev = ref [] and nrules = ref 0 in
   let rule r = let i = !nrules in incr nrules; rules_rev := r :: !rules_rev; i in
   let var_specs = ref [] and arr_specs = ref [] in
-  let sc = { frames = [ [] ] } in
+  let sc = Scope.create () in
 
   let lookup_ty sc name =
-    let rec go = function
-      | [] -> None
-      | frame :: rest -> (
-          match List.assoc_opt name frame with
-          | Some (Bf _) -> Some (Tscalar (Sflt Fp.F64))
-          | Some (Bi _) -> Some (Tscalar Sint)
-          | Some (Bfa _) -> Some (Tarr (Sflt Fp.F64))
-          | Some (Bia _) -> Some (Tarr Sint)
-          | None -> go rest)
-    in
-    go sc.frames
+    match Scope.find_opt sc name with
+    | Some (Bf _) -> Some (Tscalar (Sflt Fp.F64))
+    | Some (Bi _) -> Some (Tscalar Sint)
+    | Some (Bfa _) -> Some (Tarr (Sflt Fp.F64))
+    | Some (Bia _) -> Some (Tarr Sint)
+    | None -> None
   in
 
   (* Wraps a raw per-lane computation with Source-mode rounding to the
@@ -707,7 +677,7 @@ let compile ?builtins ?(mode = Config.Source) ?(meter = false)
     match e with
     | Fconst _ -> true
     | Var v -> (
-        match scope_find_opt sc v with Some (Bf _) -> true | _ -> false)
+        match Scope.find_opt sc v with Some (Bf _) -> true | _ -> false)
     | Unop (Neg, e) -> predicable_fexpr e
     | Binop ((Add | Sub | Mul | Div), a, b) ->
         predicable_fexpr a && predicable_fexpr b
@@ -715,7 +685,7 @@ let compile ?builtins ?(mode = Config.Source) ?(meter = false)
   in
   let predicable_stmt = function
     | Assign (Lvar v, e) -> (
-        match scope_find_opt sc v with
+        match Scope.find_opt sc v with
         | Some (Bf _) -> predicable_fexpr e
         | _ -> false)
     | _ -> false
@@ -725,7 +695,7 @@ let compile ?builtins ?(mode = Config.Source) ?(meter = false)
     match s with
     | Decl { name; dty = Dscalar Sint; init } -> (
         let slot = fresh_i () in
-        scope_declare sc name (Bi slot);
+        Scope.declare sc name (Bi slot);
         match init with
         | None -> fun benv -> benv.it.(slot) <- 0
         | Some e ->
@@ -734,7 +704,7 @@ let compile ?builtins ?(mode = Config.Source) ?(meter = false)
     | Decl { name; dty = Dscalar (Sflt _ as sca); init } -> (
         let slot = fresh_f () in
         var_specs := (slot, sca, name) :: !var_specs;
-        scope_declare sc name (Bf slot);
+        Scope.declare sc name (Bf slot);
         match init with
         | None ->
             fun benv ->
@@ -744,13 +714,13 @@ let compile ?builtins ?(mode = Config.Source) ?(meter = false)
     | Decl { name; dty = Darr (Sint, size); init = _ } ->
         let gn = ci size in
         let slot = fresh_ia () in
-        scope_declare sc name (Bia slot);
+        Scope.declare sc name (Bia slot);
         fun benv -> benv.ia.(slot) <- Array.make (gn benv) 0
     | Decl { name; dty = Darr ((Sflt _ as sca), size); init = _ } ->
         let gn = ci size in
         let slot = fresh_fa () in
         arr_specs := (slot, sca, name) :: !arr_specs;
-        scope_declare sc name (Bfa slot);
+        Scope.declare sc name (Bfa slot);
         fun benv ->
           let n = gn benv in
           let lanes = benv.fa.(slot) in
@@ -829,11 +799,11 @@ let compile ?builtins ?(mode = Config.Source) ?(meter = false)
         fun benv -> if gc benv <> 0 then gt benv else ge benv
     | For { var; lo; hi; down; body } ->
         let glo = ci lo and ghi = ci hi in
-        scope_push sc;
+        Scope.push sc;
         let slot = fresh_i () in
-        scope_declare sc var (Bi slot);
+        Scope.declare sc var (Bi slot);
         let gbody = cblock body in
-        scope_pop sc;
+        Scope.pop sc;
         if down then fun benv ->
           let lo = glo benv and hi = ghi benv in
           for i = hi - 1 downto lo do
@@ -934,9 +904,9 @@ let compile ?builtins ?(mode = Config.Source) ?(meter = false)
         | Bf _ | Bi _ -> fail "scalar %S indexed" a)
 
   and cblock stmts : benv -> unit =
-    scope_push sc;
+    Scope.push sc;
     let compiled = Array.of_list (List.map cstmt stmts) in
-    scope_pop sc;
+    Scope.pop sc;
     fun benv -> Array.iter (fun g -> g benv) compiled
   in
 
@@ -956,7 +926,7 @@ let compile ?builtins ?(mode = Config.Source) ?(meter = false)
               Bfa slot
           | Tarr Sint -> Bia (fresh_ia ())
         in
-        scope_declare sc p.pname b;
+        Scope.declare sc p.pname b;
         (p, b))
       f.params
   in

@@ -31,28 +31,10 @@ type binding =
   | Bfa of int * Fp.format
   | Bia of int
 
-(* Compile-time scope: stack of frames mapping names to slots. *)
-type scope = { mutable frames : (string * binding) list list }
-
 let scope_find sc name =
-  let rec go = function
-    | [] -> fail "undeclared variable %S" name
-    | frame :: rest -> (
-        match List.assoc_opt name frame with Some b -> b | None -> go rest)
-  in
-  go sc.frames
-
-let scope_push sc = sc.frames <- [] :: sc.frames
-
-let scope_pop sc =
-  match sc.frames with
-  | _ :: rest -> sc.frames <- rest
-  | [] -> assert false
-
-let scope_declare sc name b =
-  match sc.frames with
-  | frame :: rest -> sc.frames <- ((name, b) :: frame) :: rest
-  | [] -> assert false
+  match Scope.find_opt sc name with
+  | Some b -> b
+  | None -> fail "undeclared variable %S" name
 
 type t = {
   cfunc : Ast.func;
@@ -174,7 +156,7 @@ let compile ?builtins ?(config = Config.double) ?(mode = Config.Source)
   let fresh_i () = let i = !nit in incr nit; i in
   let fresh_fa () = let i = !nfa in incr nfa; i in
   let fresh_ia () = let i = !nia in incr nia; i in
-  let sc = { frames = [ [] ] } in
+  let sc = Scope.create () in
 
   let effective s name = Interp.effective_format config s name in
 
@@ -396,17 +378,12 @@ let compile ?builtins ?(config = Config.double) ?(mode = Config.Source)
 
   and lookup_ty sc name =
     (* Typing view of the compile-time scope, for expr_kind queries. *)
-    let rec go = function
-      | [] -> None
-      | frame :: rest -> (
-          match List.assoc_opt name frame with
-          | Some (Bf (_, fmt)) -> Some (Tscalar (Sflt fmt))
-          | Some (Bi _) -> Some (Tscalar Sint)
-          | Some (Bfa (_, fmt)) -> Some (Tarr (Sflt fmt))
-          | Some (Bia _) -> Some (Tarr Sint)
-          | None -> go rest)
-    in
-    go sc.frames
+    match Scope.find_opt sc name with
+    | Some (Bf (_, fmt)) -> Some (Tscalar (Sflt fmt))
+    | Some (Bi _) -> Some (Tscalar Sint)
+    | Some (Bfa (_, fmt)) -> Some (Tarr (Sflt fmt))
+    | Some (Bia _) -> Some (Tarr Sint)
+    | None -> None
   in
 
   (* Store into a float slot with static rounding. A binary64 slot
@@ -449,7 +426,7 @@ let compile ?builtins ?(config = Config.double) ?(mode = Config.Source)
     match s with
     | Decl { name; dty = Dscalar Sint; init } -> (
         let slot = fresh_i () in
-        scope_declare sc name (Bi slot);
+        Scope.declare sc name (Bi slot);
         match init with
         | None -> fun env -> env.it.(slot) <- 0
         | Some e ->
@@ -458,20 +435,20 @@ let compile ?builtins ?(config = Config.double) ?(mode = Config.Source)
     | Decl { name; dty = Dscalar (Sflt _ as s); init } -> (
         let fmt = effective s name in
         let slot = fresh_f () in
-        scope_declare sc name (Bf (slot, fmt));
+        Scope.declare sc name (Bf (slot, fmt));
         match init with
         | None -> fun env -> env.fl.(slot) <- 0.
         | Some e -> store_float slot fmt e)
     | Decl { name; dty = Darr (Sint, size); init = _ } ->
         let gn = ci size in
         let slot = fresh_ia () in
-        scope_declare sc name (Bia slot);
+        Scope.declare sc name (Bia slot);
         fun env -> env.ia.(slot) <- Array.make (gn env) 0
     | Decl { name; dty = Darr ((Sflt _ as s), size); init = _ } ->
         let fmt = effective s name in
         let gn = ci size in
         let slot = fresh_fa () in
-        scope_declare sc name (Bfa (slot, fmt));
+        Scope.declare sc name (Bfa (slot, fmt));
         fun env -> env.fa.(slot) <- Array.make (gn env) 0.
     | Assign (Lvar v, e) -> (
         match scope_find sc v with
@@ -494,11 +471,11 @@ let compile ?builtins ?(config = Config.double) ?(mode = Config.Source)
         fun env -> if gc env <> 0 then gt env else ge env
     | For { var; lo; hi; down; body } ->
         let glo = ci lo and ghi = ci hi in
-        scope_push sc;
+        Scope.push sc;
         let slot = fresh_i () in
-        scope_declare sc var (Bi slot);
+        Scope.declare sc var (Bi slot);
         let gbody = cblock body in
-        scope_pop sc;
+        Scope.pop sc;
         if down then fun env ->
           let lo = glo env and hi = ghi env in
           for i = hi - 1 downto lo do
@@ -574,9 +551,9 @@ let compile ?builtins ?(config = Config.double) ?(mode = Config.Source)
         | Bf _ | Bi _ -> fail "scalar %S indexed" a)
 
   and cblock stmts : env -> unit =
-    scope_push sc;
+    Scope.push sc;
     let compiled = Array.of_list (List.map cstmt stmts) in
-    scope_pop sc;
+    Scope.pop sc;
     fun env -> Array.iter (fun g -> g env) compiled
   in
 
@@ -591,7 +568,7 @@ let compile ?builtins ?(config = Config.double) ?(mode = Config.Source)
           | Tarr (Sflt _ as s) -> Bfa (fresh_fa (), effective s p.pname)
           | Tarr Sint -> Bia (fresh_ia ())
         in
-        scope_declare sc p.pname b;
+        Scope.declare sc p.pname b;
         (p, b))
       f.params
   in

@@ -7,38 +7,33 @@ let is_private_call name =
    is at least [size_threshold] nodes. *)
 let size_threshold = 5
 
-let rec node_count = function
-  | Fconst _ | Iconst _ | Var _ -> 1
-  | Idx (_, i) -> 1 + node_count i
-  | Unop (_, e) -> 1 + node_count e
-  | Binop (_, a, b) -> 1 + node_count a + node_count b
-  | Call (_, args) -> 1 + List.fold_left (fun acc a -> acc + node_count a) 0 args
+(* An expression with what the pass needs to know of it, computed
+   bottom-up once: [nameable] marks a worthwhile pure float
+   subexpression. The counting pass fills in the mutable fields where it
+   visits a nameable node: the [fact] it is, whether that fact was
+   already available ([hit]), and, on the whole right-hand side of a
+   scalar store, whether the stored variable holds it ([held]). *)
+type node = {
+  e : expr;
+  kids : node list;
+  nameable : bool;
+  mutable fact : int;
+  mutable hit : bool;
+  mutable held : bool;
+}
 
-let rec has_call = function
-  | Fconst _ | Iconst _ | Var _ -> false
-  | Idx (_, i) -> has_call i
-  | Unop (_, e) -> has_call e
-  | Binop (_, a, b) -> has_call a || has_call b
-  | Call (name, _) -> not (List.mem name [ "itof"; "select"; "sign" ])
+module Emap = Map.Make (struct
+  type t = expr
 
-let rec mentions_private = function
-  | Fconst _ | Iconst _ | Var _ -> false
-  | Idx (_, i) -> mentions_private i
-  | Unop (_, e) -> mentions_private e
-  | Binop (_, a, b) -> mentions_private a || mentions_private b
-  | Call (name, args) ->
-      is_private_call name || List.exists mentions_private args
+  let compare = compare
+end)
 
-let worthwhile e =
-  (not (mentions_private e)) && (has_call e || node_count e >= size_threshold)
+(* An available value: [id] numbers it in visiting order; it holds
+   while every variable in [deps] (what it reads, and the assigned
+   variable holding it, if any) still has the recorded version. *)
+type fact = { id : int; deps : (string * int) list }
 
-let rec free_vars acc = function
-  | Fconst _ | Iconst _ -> acc
-  | Var v -> v :: acc
-  | Idx (a, i) -> free_vars (a :: acc) i
-  | Unop (_, e) -> free_vars acc e
-  | Binop (_, a, b) -> free_vars (free_vars acc a) b
-  | Call (_, args) -> List.fold_left free_vars acc args
+let f64 = Sflt Cheffp_precision.Fp.F64
 
 let cse_func ?builtins ?(prog = { funcs = [] }) ?(opaque = fun _ -> false) f =
   let builtins =
@@ -47,189 +42,245 @@ let cse_func ?builtins ?(prog = { funcs = [] }) ?(opaque = fun _ -> false) f =
   let names = Rename.create () in
   Rename.reserve_func names f;
 
-  (* Scoped variable typing for float-kind checks. *)
   let var_tys : (string, ty) Hashtbl.t = Hashtbl.create 32 in
   List.iter (fun p -> Hashtbl.replace var_tys p.pname p.pty) f.params;
   let lookup v = Hashtbl.find_opt var_tys v in
-  let is_float_expr e =
-    match Typecheck.expr_kind ~builtins prog lookup e with
-    | Typecheck.Escalar Builtins.Kflt -> true
-    | Typecheck.Escalar Builtins.Kint | Typecheck.Earr _ -> false
-    | exception Typecheck.Error _ -> false
+  let float_call name =
+    match Builtins.find builtins name with
+    | Some (sg, _) -> sg.Builtins.ret = Builtins.Kflt
+    | None -> (
+        match find_func prog name with
+        | Some { ret = Some (Sflt _); _ } -> true
+        | _ -> false)
   in
-
-  (* Availability: (expression, holding variable), newest first. *)
-  let avail : (expr * string) list ref = ref [] in
-  let kill v =
-    avail :=
-      List.filter
-        (fun (e, holder) -> holder <> v && not (List.mem v (free_vars [] e)))
-        !avail
+  (* The inner [annotate] also returns the node count, whether a real
+     intrinsic or a private (double-underscore, runtime callback) call
+     occurs, whether the value is a float and whether an opaque
+     variable is read. The function typechecks, so the operands of an
+     arithmetic operator share its kind. Expressions touching opaque
+     (narrow-storage) variables are not nameable: naming them in a
+     binary64 temporary would widen their static format and change
+     Source-mode rounding of the surrounding operation. *)
+  (* Temporaries are binary64 locals. When the caller makes every
+     variable opaque (a narrow default format) they would round on
+     store, so nothing is named then; a single overridden temporary name
+     is skipped. *)
+  let exact_temps = not (opaque "_cse") in
+  let rec fresh_temp () =
+    let t = Rename.fresh names "_cse" in
+    if opaque t then fresh_temp () else t
   in
-  let kill_all () = avail := [] in
-  let lookup_avail e = List.assoc_opt e !avail in
-
-  (* Replace maximal available subexpressions, top-down. *)
-  let rec reuse e =
-    match lookup_avail e with
-    | Some holder when worthwhile e -> Var holder
-    | _ -> (
-        match e with
-        | Fconst _ | Iconst _ | Var _ -> e
-        | Idx (a, i) -> Idx (a, reuse i)
-        | Unop (op, inner) -> Unop (op, reuse inner)
-        | Binop (op, a, b) -> Binop (op, reuse a, reuse b)
-        | Call (name, args) -> Call (name, List.map reuse args))
-  in
-
-  (* Count worthwhile float subexpressions; returns those occurring at
-     least twice, largest first. Expressions touching opaque (narrow-
-     storage) variables are excluded: naming them in a binary64
-     temporary would widen their static format and change Source-mode
-     rounding of the surrounding operation. *)
-  let repeated_subexprs e =
-    let counts : (expr, int) Hashtbl.t = Hashtbl.create 16 in
-    let rec visit e =
-      (if
-         worthwhile e && is_float_expr e
-         && not (List.exists opaque (free_vars [] e))
-       then
-         Hashtbl.replace counts e
-           (1 + Option.value ~default:0 (Hashtbl.find_opt counts e)));
+  let rec annotate e =
+    let kids =
       match e with
-      | Fconst _ | Iconst _ | Var _ -> ()
-      | Idx (_, i) -> visit i
-      | Unop (_, inner) -> visit inner
-      | Binop (_, a, b) ->
-          visit a;
-          visit b
-      | Call (_, args) -> List.iter visit args
+      | Fconst _ | Iconst _ | Var _ -> []
+      | Idx (_, i) | Unop (_, i) -> [ annotate i ]
+      | Binop (_, a, b) -> [ annotate a; annotate b ]
+      | Call (_, args) -> List.map annotate args
     in
-    visit e;
-    Hashtbl.fold (fun e n acc -> if n >= 2 then e :: acc else acc) counts []
-    |> List.sort (fun a b -> compare (node_count b) (node_count a))
+    let size, call, priv, opq =
+      List.fold_left
+        (fun (n, c, p, o) (_, (n', c', p', _, o')) -> (n + n', c || c', p || p', o || o'))
+        (1, false, false, false) kids
+    in
+    let scalar_float v = match lookup v with Some (Tscalar (Sflt _)) -> true | _ -> false in
+    let call, priv, is_float, opq =
+      match e with
+      | Fconst _ -> (call, priv, true, opq)
+      | Iconst _ | Unop (Not, _) | Binop ((Mod | Eq | Ne | Lt | Le | Gt | Ge | And | Or), _, _)
+        ->
+          (call, priv, false, opq)
+      | Var v -> (call, priv, scalar_float v, opaque v)
+      | Idx (a, _) ->
+          ( call, priv,
+            (match lookup a with Some (Tarr (Sflt _)) -> true | _ -> false),
+            opq || opaque a )
+      | Unop (Neg, _) | Binop ((Add | Sub | Mul | Div), _, _) ->
+          let _, (_, _, _, fl, _) = List.hd kids in
+          (call, priv, fl, opq)
+      | Call (name, _) ->
+          ( call || not (List.mem name [ "itof"; "select"; "sign" ]),
+            priv || is_private_call name,
+            float_call name,
+            opq )
+    in
+    let nameable =
+      exact_temps && (not priv) && (call || size >= size_threshold) && is_float && not opq
+    in
+    ( { e; kids = List.map fst kids; nameable; fact = -1; hit = false; held = false },
+      (size, call, priv, is_float, opq) )
   in
 
-  let rec replace_subexpr ~target ~holder e =
-    if e = target then Var holder
+  (* Both passes below walk the body in the same order. The counting
+     pass annotates each expression, queues the annotation, tracks which
+     values are available and records in the nodes what it found, and
+     how often each fact is used. The naming pass replays those
+     findings: every fact used at least twice gets a holder at its first
+     use, and later uses read the holder. *)
+  let uses : (int, int) Hashtbl.t = Hashtbl.create 64 in
+  let holders : (int, string) Hashtbl.t = Hashtbl.create 64 in
+  let shared id = Hashtbl.find uses id >= 2 in
+  let annotated = Queue.create () in
+
+  let next_id = ref 0 in
+  let versions : (string, int) Hashtbl.t = Hashtbl.create 64 in
+  let version v = Option.value ~default:0 (Hashtbl.find_opt versions v) in
+  let kill v = Hashtbl.replace versions v (version v + 1) in
+  let avail = ref Emap.empty in
+  let available e =
+    match Emap.find_opt e !avail with
+    | Some fact when List.for_all (fun (v, n) -> version v = n) fact.deps -> Some fact
+    | _ -> None
+  in
+  let add (n : node) holder =
+    let id = !next_id in
+    incr next_id;
+    let deps = List.map (fun v -> (v, version v)) (Option.to_list holder @ expr_vars [] n.e) in
+    avail := Emap.add n.e { id; deps } !avail;
+    Hashtbl.replace uses id 1;
+    n.fact <- id
+  in
+  let rec count n =
+    if not n.nameable then List.iter count n.kids
     else
-      match e with
-      | Fconst _ | Iconst _ | Var _ -> e
-      | Idx (a, i) -> Idx (a, replace_subexpr ~target ~holder i)
-      | Unop (op, inner) -> Unop (op, replace_subexpr ~target ~holder inner)
-      | Binop (op, a, b) ->
-          Binop
-            ( op,
-              replace_subexpr ~target ~holder a,
-              replace_subexpr ~target ~holder b )
-      | Call (name, args) ->
-          Call (name, List.map (replace_subexpr ~target ~holder) args)
+      match available n.e with
+      | Some fact ->
+          n.fact <- fact.id;
+          n.hit <- true;
+          Hashtbl.replace uses fact.id (Hashtbl.find uses fact.id + 1)
+      | None ->
+          List.iter count n.kids;
+          add n None
+  in
+  let counted e =
+    let n = fst (annotate e) in
+    Queue.push n annotated;
+    count n;
+    e
+  in
+  (* Right-hand side stored into scalar [v]: when [v] can hold the whole
+     value, it does so instead of a temporary. *)
+  let counted_store v e =
+    let n = fst (annotate e) in
+    Queue.push n annotated;
+    if
+      n.nameable && (not (opaque v))
+      && lookup v = Some (Tscalar f64)
+      && (not (List.mem v (expr_vars [] e)))
+      && available e = None
+    then begin
+      List.iter count n.kids;
+      kill v;
+      add n (Some v);
+      n.held <- true
+    end
+    else begin
+      count n;
+      kill v
+    end;
+    e
   in
 
-  (* Hoist within-RHS duplicates into fresh temporaries, largest first,
-     until no duplicate remains (bounded). Returns the hoisting
-     declarations and the rewritten expression. *)
-  let hoist_duplicates e =
-    let rec go decls e budget =
-      if budget = 0 then (decls, e)
-      else
-        match repeated_subexprs e with
-        | [] -> (decls, e)
-        | sub :: _ ->
-            let t = Rename.fresh names "_cse" in
-            Hashtbl.replace var_tys t (Tscalar (Sflt Cheffp_precision.Fp.F64));
-            avail := (sub, t) :: !avail;
-            let decl =
-              Decl
-                {
-                  name = t;
-                  dty = Dscalar (Sflt Cheffp_precision.Fp.F64);
-                  init = Some sub;
-                }
-            in
-            go (decls @ [ decl ]) (replace_subexpr ~target:sub ~holder:t e)
-              (budget - 1)
+  (* Declarations of the temporaries named while rewriting the current
+     statement; they go right before it. *)
+  let pending = ref [] in
+  let rec rewrite n =
+    if n.fact < 0 then children n
+    else if n.hit then Var (Hashtbl.find holders n.fact)
+    else
+      let e' = children n in
+      if shared n.fact then begin
+        let t = fresh_temp () in
+        Hashtbl.replace holders n.fact t;
+        pending := Decl { name = t; dty = Dscalar f64; init = Some e' } :: !pending;
+        Var t
+      end
+      else e'
+  and children n =
+    match (n.e, n.kids) with
+    | (Fconst _ | Iconst _ | Var _), _ -> n.e
+    | Idx (a, _), [ i ] -> Idx (a, rewrite i)
+    | Unop (op, _), [ inner ] -> Unop (op, rewrite inner)
+    | Binop (op, _, _), [ a; b ] ->
+        let a = rewrite a in
+        Binop (op, a, rewrite b)
+    | Call (name, _), args -> Call (name, List.map rewrite args)
+    | _ -> assert false
+  in
+  let rewritten _ = rewrite (Queue.pop annotated) in
+  let rewritten_store v _ =
+    let n = Queue.pop annotated in
+    if n.held then begin
+      let e' = children n in
+      if shared n.fact then Hashtbl.replace holders n.fact v;
+      e'
+    end
+    else rewrite n
+  in
+
+  (* The statement walk of both passes; [counting] selects the pass. *)
+  let run ~counting body =
+    let expr = if counting then counted else rewritten in
+    let store = if counting then counted_store else rewritten_store in
+    let kill v = if counting then kill v in
+    let scope f =
+      let before = !avail in
+      let r = f () in
+      avail := before;
+      r
     in
-    go [] e 4
+    let rec stmt s =
+      match s with
+      | Decl ({ name; dty; init } as d) ->
+          if counting then
+            Hashtbl.replace var_tys name
+              (match dty with Dscalar sc -> Tscalar sc | Darr (sc, _) -> Tarr sc);
+          let init = Option.map (store name) init in
+          if init = None then kill name;
+          Decl { d with init }
+      | Assign (Lvar v, e) -> Assign (Lvar v, store v e)
+      | Assign (Lidx (a, i), e) ->
+          let e = expr e in
+          let i = expr i in
+          kill a;
+          Assign (Lidx (a, i), e)
+      | If (c, a, b) ->
+          (* Facts from before the [if] hold in both branches and after
+             it, except those the branches' writes end (a write bumps a
+             version for good); facts from inside a branch stay there. *)
+          let c = expr c in
+          let a = scope (fun () -> block a) in
+          let b = scope (fun () -> block b) in
+          If (c, a, b)
+      | For ({ var; body; _ } as l) ->
+          if counting then Hashtbl.replace var_tys var (Tscalar Sint);
+          avail := Emap.empty;
+          let body = block body in
+          avail := Emap.empty;
+          For { l with body }
+      | While (c, body) ->
+          avail := Emap.empty;
+          let body = block body in
+          avail := Emap.empty;
+          While (c, body)
+      | Return e -> Return (Option.map expr e)
+      | Call_stmt (name, args) -> Call_stmt (name, List.map expr args)
+      | Push _ -> s
+      | Pop lv ->
+          kill (lvalue_base lv);
+          s
+    and block stmts =
+      List.concat_map
+        (fun s ->
+          let outer = !pending in
+          pending := [];
+          let s = stmt s in
+          let named = List.rev !pending in
+          pending := outer;
+          named @ [ s ])
+        stmts
+    in
+    block body
   in
-
-  let process_rhs e =
-    let e = reuse e in
-    if is_float_expr e then hoist_duplicates e else ([], e)
-  in
-
-  let record lv e =
-    match lv with
-    | Lvar v
-      when worthwhile e && is_float_expr e
-           && (not (opaque v))
-           && (not (List.exists opaque (free_vars [] e)))
-           && not (List.mem v (free_vars [] e)) ->
-        avail := (e, v) :: !avail
-    | _ -> ()
-  in
-
-  let rec stmt s =
-    match s with
-    | Decl ({ name; dty; init } as d) -> (
-        Hashtbl.replace var_tys name
-          (match dty with Dscalar sc -> Tscalar sc | Darr (sc, _) -> Tarr sc);
-        match init with
-        | None -> [ Decl d ]
-        | Some e ->
-            let hoisted, e = process_rhs e in
-            kill name;
-            record (Lvar name) e;
-            hoisted @ [ Decl { d with init = Some e } ])
-    | Assign (lv, e) ->
-        let hoisted, e = process_rhs e in
-        let lv =
-          match lv with
-          | Lvar _ -> lv
-          | Lidx (a, i) -> Lidx (a, reuse i)
-        in
-        kill (lvalue_base lv);
-        record lv e;
-        hoisted @ [ Assign (lv, e) ]
-    | If (c, a, b) ->
-        let c = reuse c in
-        (* Each branch starts from an empty availability set: entries
-           created inside one branch (hoisted temporaries, recorded
-           assignments) are block-scoped and must not be reused by the
-           sibling branch or by the code after the [If]. *)
-        kill_all ();
-        let a = block a in
-        kill_all ();
-        let b = block b in
-        kill_all ();
-        [ If (c, a, b) ]
-    | For ({ lo; hi; body; var; _ } as l) ->
-        let lo = reuse lo and hi = reuse hi in
-        Hashtbl.replace var_tys var (Tscalar Sint);
-        kill_all ();
-        let body = block body in
-        kill_all ();
-        [ For { l with lo; hi; body } ]
-    | While (c, body) ->
-        kill_all ();
-        let body = block body in
-        kill_all ();
-        [ While (c, body) ]
-    | Return (Some e) ->
-        let hoisted, e = process_rhs e in
-        hoisted @ [ Return (Some e) ]
-    | Return None -> [ Return None ]
-    | Call_stmt (name, args) -> [ Call_stmt (name, List.map reuse args) ]
-    | Push lv ->
-        (* pushing only reads *)
-        [ Push lv ]
-    | Pop lv ->
-        kill (lvalue_base lv);
-        [ Pop lv ]
-  and block stmts =
-    (* availability flows through a straight-line run; control flow
-       inside [stmt] resets it *)
-    List.concat_map stmt stmts
-  in
-  let body = block f.body in
-  { f with body }
+  ignore (run ~counting:true f.body);
+  { f with body = run ~counting:false f.body }

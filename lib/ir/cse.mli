@@ -1,24 +1,31 @@
-(** Local common-subexpression elimination.
+(** Value numbering over straight-line runs.
 
     Adjoint code generated by reverse-mode AD is full of repeated pure
-    subexpressions — product-rule seeds reuse operand values, and a
+    subexpressions: product-rule seeds reuse operand values, and a
     variable read twice on a right-hand side produces two identical
-    accumulation statements. This pass removes that redundancy within
-    straight-line runs:
+    accumulation statements (the arclength adjoint evaluates
+    [sqrt(h*h + d*d)] four times per reverse iteration). This pass
+    evaluates each such value once:
 
-    - a repeated worthwhile subexpression inside one right-hand side is
-      hoisted into a fresh temporary;
-    - a right-hand side that was just assigned to a scalar is reused by
-      later statements in the same run (available-expression
-      propagation), invalidated as soon as any variable it mentions is
-      written (or popped).
+    - a worthwhile subexpression that occurs more than once while its
+      operands keep their values, within one right-hand side or across
+      statements, is named in a fresh binary64 temporary at its first
+      use, and later occurrences read the temporary;
+    - when the first occurrence is the whole right-hand side stored into
+      a binary64 scalar, that scalar holds the value instead, until it
+      is written again.
 
-    Only float-typed, pure expressions participate ("worthwhile" means
-    containing an intrinsic call or at least five AST nodes); calls to
-    double-underscore intrinsics (runtime callbacks) are never touched.
-    Control-flow boundaries clear availability, so the transformation is
-    local and exactly value-preserving — identical operations in the same
-    order produce bit-identical floats. *)
+    A store or a pop ends the facts that read the written variable. An
+    [if] ends only the facts its branches write (the estimator's range
+    [if]s write one registry slot), and facts made inside a branch stay
+    there; loops start and end with no facts. Only float-typed, pure
+    expressions participate ("worthwhile" means containing an intrinsic
+    call, which counts as pure, or at least five AST nodes); calls to
+    double-underscore intrinsics (runtime callbacks) are never named.
+    The transformation is exactly value-preserving: identical
+    operations in the same order on the same operands produce
+    bit-identical floats. {!Optimize.optimize_func} runs it once before
+    its folding, propagation and dead-code passes. *)
 
 val cse_func :
   ?builtins:Builtins.t ->

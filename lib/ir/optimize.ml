@@ -149,6 +149,9 @@ let rec prop_stmts ~fast_math ~opaque env stmts =
         | Assign (lv, e) -> (
             let e = fold_expr ~fast_math (prop_expr env e) in
             match lv with
+            | Lvar v when e = Var v ->
+                (* a copy of the value it already holds: dropped *)
+                (env, If (Iconst 1, [], []))
             | Lvar v ->
                 let env = kill env v in
                 let env =
@@ -178,12 +181,15 @@ let rec prop_stmts ~fast_math ~opaque env stmts =
                 let _, t = prop_stmts env t in
                 let _, e = prop_stmts env e in
                 (* Conservative join: drop all facts, unless the branches
-                   only store array elements (the estimator's range
-                   tracking), which invalidates just the facts that
-                   mention the stored arrays. *)
+                   only store array elements or scalars the condition
+                   reads (a running min/max update, as the estimator's
+                   range tracking emits), which invalidates just the
+                   facts that mention the stored variables. *)
                 let rec join env = function
                   | [] -> env
                   | Assign (Lidx (a, _), _) :: rest -> join (kill env a) rest
+                  | Assign (Lvar v, _) :: rest when expr_mentions (String.equal v) c ->
+                      join (kill env v) rest
                   | _ -> Smap.empty
                 in
                 (join env (t @ e), If (c, t, e)))
@@ -223,6 +229,61 @@ let rec flatten stmts =
       | While (c, body) -> [ While (c, flatten body) ]
       | s -> [ s ])
     stmts
+
+(* ------------------------------------------------------------------ *)
+(* Dead stores within straight-line runs.                             *)
+
+module Sset = Set.Make (String)
+
+(* Variables a statement reads or writes, prepended to [acc]. *)
+let rec touched acc s =
+  let lv acc = function Lvar v -> v :: acc | Lidx (a, i) -> expr_vars (a :: acc) i in
+  let opt acc = Option.fold ~none:acc ~some:(expr_vars acc) in
+  match s with
+  | Decl { name; dty = Darr (_, size); init } -> opt (expr_vars (name :: acc) size) init
+  | Decl { name; dty = Dscalar _; init } -> opt (name :: acc) init
+  | Assign (l, e) -> expr_vars (lv acc l) e
+  | If (c, a, b) -> List.fold_left touched (List.fold_left touched (expr_vars acc c) a) b
+  | For { var; lo; hi; body; _ } ->
+      List.fold_left touched (expr_vars (expr_vars (var :: acc) lo) hi) body
+  | While (c, body) -> List.fold_left touched (expr_vars acc c) body
+  | Return e -> opt acc e
+  | Call_stmt (_, args) -> List.fold_left expr_vars acc args
+  | Push l | Pop l -> lv acc l
+
+let rec returns = function
+  | Return _ -> true
+  | If (_, a, b) -> List.exists returns a || List.exists returns b
+  | For { body; _ } | While (_, body) -> List.exists returns body
+  | Decl _ | Assign _ | Call_stmt _ | Push _ | Pop _ -> false
+
+(* Evaluating the expression cannot raise: no element read, call or
+   (possibly integer) division. *)
+let rec cannot_fail = function
+  | Fconst _ | Iconst _ | Var _ -> true
+  | Idx _ | Call _ | Binop ((Div | Mod), _, _) -> false
+  | Unop (_, e) -> cannot_fail e
+  | Binop (_, a, b) -> cannot_fail a && cannot_fail b
+
+(* Drops a store [v = e] that a later store of the same run overwrites
+   before anything reads [v] ([_d_s = 0.0; _d_s = _t]).
+   One backward sweep per run: [dead] holds the scalars whose current
+   value the rest of the run overwrites unread. *)
+let rec dead_stores stmts =
+  let rec step s (dead, kept) =
+    match s with
+    | Assign (Lvar v, e) when Sset.mem v dead && cannot_fail e -> (dead, kept)
+    | Assign (Lvar v, e) ->
+        (List.fold_left (Fun.flip Sset.remove) (Sset.add v dead) (expr_vars [] e), s :: kept)
+    | s when returns s -> (Sset.empty, nested s :: kept)
+    | s -> (List.fold_left (Fun.flip Sset.remove) dead (touched [] s), nested s :: kept)
+  and nested = function
+    | If (c, a, b) -> If (c, dead_stores a, dead_stores b)
+    | For l -> For { l with body = dead_stores l.body }
+    | While (c, body) -> While (c, dead_stores body)
+    | s -> s
+  in
+  snd (List.fold_right step stmts (Sset.empty, []))
 
 (* ------------------------------------------------------------------ *)
 (* Dead local elimination.                                            *)
@@ -345,7 +406,7 @@ let optimize_func ?(fast_math = true) ?(cse = true) ?(opaque = fun _ -> false) f
   let f = if cse then Cse.cse_func ~opaque f else f in
   let pass f =
     let _, body = prop_stmts ~fast_math ~opaque Smap.empty f.body in
-    let f = { f with body = flatten body } in
+    let f = { f with body = dead_stores (flatten body) } in
     dead_local_elim f
   in
   let rec fixpoint k f =

@@ -5,13 +5,17 @@
     here before execution, which is a large part of why inlined error
     estimation beats tape-based tools (paper §I, §III).
 
-    Passes:
-    - local common-subexpression elimination (see {!Cse});
-    - constant folding and algebraic simplification ([x*1], [x+0],
-      [x*0 -> 0] in fast-math style, double negation, constant branches);
-    - forward copy/constant propagation within basic blocks (with
-      conservative kills at control-flow joins and loop bodies);
-    - dead-code elimination of scalar locals that are never read.
+    Passes, in order:
+    - value numbering across statements (see {!Cse}), once;
+    - then, to a fixpoint: constant folding and algebraic simplification
+      ([x*1], [x+0], [x*0 -> 0] in fast-math style, double negation,
+      constant branches); forward copy/constant propagation within
+      basic blocks (with conservative kills at control-flow joins and
+      loop bodies), which also drops a copy of the value the target
+      already holds; dead-store elimination within straight-line runs
+      (a store overwritten before any read, when its right-hand side
+      cannot raise); and elimination of scalar locals that are never
+      read.
 
     [0*x -> 0] and constant-condition pruning are exact for the finite,
     non-exceptional values analysis code computes but not for NaN/Inf
@@ -27,8 +31,9 @@ val fold_expr :
 
 val optimize_func :
   ?fast_math:bool -> ?cse:bool -> ?opaque:(string -> bool) -> Ast.func -> Ast.func
-(** Runs local CSE ({!Cse}, on by default) once, then folding,
-    propagation, and DCE to a fixpoint (bounded). Out parameters and
+(** Runs value numbering ({!Cse}, on by default) once, then folding,
+    propagation, dead-store and dead-local elimination to a fixpoint
+    (bounded). Out parameters and
     arrays are never removed.
 
     [opaque] names variables whose stored value must always be re-read

@@ -1,8 +1,10 @@
 (** Fresh-name generation shared by the transformation passes. *)
 
-type t = { used : (string, unit) Hashtbl.t }
+(* [next] remembers, per base, the suffix after the last one [fresh]
+   handed out: every smaller suffix is taken, so probing starts there. *)
+type t = { used : (string, unit) Hashtbl.t; next : (string, int) Hashtbl.t }
 
-let create () = { used = Hashtbl.create 64 }
+let create () = { used = Hashtbl.create 64; next = Hashtbl.create 16 }
 
 let reserve t name = Hashtbl.replace t.used name ()
 let mem t name = Hashtbl.mem t.used name
@@ -34,8 +36,9 @@ let fresh t base =
       if Hashtbl.mem t.used candidate then go (k + 1)
       else begin
         reserve t candidate;
+        Hashtbl.replace t.next base (k + 1);
         candidate
       end
     in
-    go 1
+    go (Option.value ~default:1 (Hashtbl.find_opt t.next base))
   end

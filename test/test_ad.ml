@@ -402,6 +402,65 @@ let test_derivative_params_preview () =
   Alcotest.(check bool) "modes out" true
     (List.for_all (fun p -> p.Ast.pmode = Ast.Out) ps)
 
+(* Loop bounds: a reversed loop whose bounds read nothing its body
+   writes re-evaluates them instead of popping them from the tape. *)
+let rec bound_pushes acc = function
+  | Ast.Push (Ast.Lvar v)
+    when String.starts_with ~prefix:"_lo" v || String.starts_with ~prefix:"_hi" v ->
+      v :: acc
+  | Ast.If (_, a, b) -> List.fold_left bound_pushes (List.fold_left bound_pushes acc a) b
+  | Ast.For { body; _ } | Ast.While (_, body) -> List.fold_left bound_pushes acc body
+  | _ -> acc
+
+let rec reversed_loops acc = function
+  | Ast.For { down = true; lo; hi; body; _ } ->
+      List.fold_left reversed_loops ((lo, hi) :: acc) body
+  | Ast.For { body; _ } | Ast.While (_, body) -> List.fold_left reversed_loops acc body
+  | Ast.If (_, a, b) -> List.fold_left reversed_loops (List.fold_left reversed_loops acc a) b
+  | _ -> acc
+
+let test_untaped_loop_bounds () =
+  let module B = Cheffp_benchmarks in
+  let arclength = Reverse.differentiate B.Arclength.program B.Arclength.func_name in
+  Alcotest.(check (list string)) "arclength: no bound pushed" []
+    (List.fold_left bound_pushes [] arclength.Ast.body);
+  Alcotest.(check bool) "arclength: inner loop replays 1 .. 6" true
+    (List.mem (Ast.Iconst 1, Ast.Iconst 6)
+       (List.fold_left reversed_loops [] arclength.Ast.body));
+  let hpccg = Reverse.differentiate B.Hpccg.program B.Hpccg.func_name in
+  Alcotest.(check (list string)) "hpccg: no bound pushed" []
+    (List.fold_left bound_pushes [] hpccg.Ast.body);
+  Alcotest.(check bool) "hpccg: SpMV loop replays row_ptr bounds" true
+    (List.exists
+       (function Ast.Idx ("row_ptr", _), Ast.Idx ("row_ptr", _) -> true | _ -> false)
+       (List.fold_left reversed_loops [] hpccg.Ast.body))
+
+let test_written_bound_taped () =
+  (* The body writes [m], which the bound reads: re-evaluating it after
+     the loop would replay no iteration at all. s = sum over i < n of
+     x * (i + (n - i)), so ds/dx = n * n. *)
+  let src =
+    {|func f(x: f64, n: int): f64 {
+        var m: int = n;
+        var s: f64 = 0.0;
+        for i in 0 .. m {
+          s = s + x * itof(i + m);
+          m = m - 1;
+        }
+        return s;
+      }|}
+  in
+  let prog = Parser.parse_program src in
+  let g = Reverse.differentiate prog "f" in
+  Alcotest.(check bool) "bound taped" true (List.fold_left bound_pushes [] g.Ast.body <> []);
+  let module E = Cheffp_core.Estimate in
+  let est = E.estimate_error ~prog ~func:"f" () in
+  let args = [ Interp.Aflt 0.3; Interp.Aint 5 ] in
+  let compiled = E.run est args and interpreted = E.run_interpreted est args in
+  Alcotest.(check (list (pair string (float 0.)))) "compiled = interpreted"
+    interpreted.E.gradients compiled.E.gradients;
+  Alcotest.(check (float 0.)) "ds/dx = n * n" 25. (List.assoc "x" compiled.E.gradients)
+
 let () =
   Alcotest.run "ad"
     [
@@ -431,6 +490,8 @@ let () =
             test_inlined_function_differentiation;
           Alcotest.test_case "derivative params preview" `Quick
             test_derivative_params_preview;
+          Alcotest.test_case "untaped loop bounds" `Quick test_untaped_loop_bounds;
+          Alcotest.test_case "written bound taped" `Quick test_written_bound_taped;
         ] );
       ( "forward",
         [

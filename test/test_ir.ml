@@ -761,6 +761,24 @@ let test_optimizer_respects_demotion () =
     (Fp.round Fp.F32 0.1 +. 1.0)
     v_comp
 
+let test_optimizer_narrow_temporaries () =
+  (* A temporary the optimizer names is a local like any other: under a
+     narrow default format it would round on store. The repeated
+     constant subexpression must stay in line. *)
+  let src =
+    {|func f(x: f64): f64 {
+        var y: f64;
+        y = x * (sin(0.1) + 1.0) + (sin(0.1) + 1.0);
+        return y;
+      }|}
+  in
+  let prog = Parser.parse_program src in
+  let config = Config.uniform Fp.F32 in
+  let args = [ Interp.Aflt 0.3 ] in
+  Alcotest.(check (float 0.)) "optimized uniform f32 = interp"
+    (Interp.run_float ~config ~prog ~func:"f" args)
+    (Compile.run_float (Compile.compile ~config ~prog ~func:"f" ()) args)
+
 let test_declared_narrow_opaque () =
   (* An f32-declared variable must not be copy-propagated away even
      without a configuration. *)
@@ -1284,6 +1302,8 @@ let () =
             test_cse_branch_isolation;
           Alcotest.test_case "demotion opaque (config)" `Quick
             test_optimizer_respects_demotion;
+          Alcotest.test_case "demotion opaque (temporaries)" `Quick
+            test_optimizer_narrow_temporaries;
           Alcotest.test_case "demotion opaque (declared)" `Quick
             test_declared_narrow_opaque;
         ] );
